@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdenticallyZeroDenominator
+from .errors import (
+    BinomialShape,
+    DegreeTooSmall,
+    IdenticallyZeroDenominator,
+    LinearCoefficientNonzero,
+)
 
 # Trailing coefficients below TRIM_REL * scale are dropped on construction:
 # Taylor shifts and products produce exact zeros only up to roundoff.
@@ -21,6 +26,8 @@ TRIM_REL = 1e-14
 # Root-coincidence tolerance for numerator/denominator cancellation,
 # relative to the coefficient scale of the pair.
 GCD_TOL_REL = 1e-8
+# relative threshold below which a coefficient counts as vanished
+SHAPE_TOL_REL = 1e-9
 
 
 def _as_complex(value) -> complex:
@@ -503,6 +510,55 @@ def reduce_common_roots(f: RationalFunction, tol: float | None = None) -> Ration
         num = _deflate(num, r)
         den = _deflate(den, r)
     return RationalFunction(num, den, reduced=True)
+
+
+# -- the restricted shape of claim 1 ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Claim1Decomposition:
+    """Shape data Q = z^l R(z) + b_m with m > 2, m > l >= 2, R(0) != 0."""
+
+    m: int
+    l: int
+    b0: complex
+    bm: complex
+    R: Polynomial
+    F: Polynomial
+
+
+def claim1_shape_check(q: Polynomial) -> Claim1Decomposition:
+    """Accept polynomials of shape b0 z^m + ... + b_{m-l} z^l + b_m.
+
+    Requires a vanished coefficient of z (relative to the coefficient
+    scale) and degree above two; the lowest surviving non-constant
+    exponent becomes l. A polynomial with no middle terms at all raises
+    BinomialShape: valid for closed-form rooting, outside this chain.
+    """
+    m = q.degree
+    if m <= 2:
+        raise DegreeTooSmall(f"degree {m} <= 2")
+    c = q.coefficients
+    tol = SHAPE_TOL_REL * q.coefficient_scale
+    if abs(c[1]) > tol:
+        raise LinearCoefficientNonzero(
+            f"|coefficient of z| = {abs(c[1]):.3e} exceeds {tol:.3e}"
+        )
+    l = None
+    for i in range(2, m):
+        if abs(c[i]) > tol:
+            l = i
+            break
+    if l is None:
+        raise BinomialShape(m, c[m], c[0])
+    return Claim1Decomposition(
+        m=m,
+        l=l,
+        b0=c[m],
+        bm=c[0],
+        R=Polynomial(c[l:]),
+        F=Polynomial([0j] * l + list(c[l:])),
+    )
 
 
 # -- complex literals ("a+bi", "bi", "a", "inf") ------------------------------------

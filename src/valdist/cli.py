@@ -165,7 +165,7 @@ def _cmd_verify(args) -> int:
         if not args.poly:
             raise _UsageError("verify degree needs --poly")
         p = _load_polynomial(args.poly)
-        fit = verify_degree_growth(p, rgrid, cfg, seed=args.seed)
+        fit = verify_degree_growth(p, rgrid, cfg)
         rounded = int(round(fit.slope))
         verdict = abs(fit.slope - rounded) <= 1e-3 and rounded == p.degree
         _emit_json(

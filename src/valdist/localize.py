@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, TargetValue
+from .algebra import Polynomial, RationalFunction, TargetValue, claim1_shape_check
 from .errors import (
     BinomialShape,
     ConstantPolynomial,
@@ -432,9 +432,13 @@ def _cover(d1: Disk, d2: Disk) -> Disk:
     return Disk(d1.center + delta * ((r - d1.radius) / dist), r)
 
 
-def _merge_certify(counter, finals, rng, target: TargetValue):
-    """Merge overlapping disks, then certify every non-endgame disk."""
-    items = list(finals)
+def _merge_pairs(items, close, join) -> list:
+    """Replace close pairs by their join until no two items are close.
+
+    Each sweep compares every pair, O(k^2); sweeps repeat because a join
+    can bring an earlier item into reach.
+    """
+    items = list(items)
     merged = True
     while merged:
         merged = False
@@ -442,16 +446,27 @@ def _merge_certify(counter, finals, rng, target: TargetValue):
         while i < len(items):
             j = i + 1
             while j < len(items):
-                d1, m1, _ = items[i]
-                d2, m2, _ = items[j]
-                pad = 1e-12 * max(1.0, abs(d1.center))
-                if abs(d1.center - d2.center) <= d1.radius + d2.radius + pad:
-                    items[i] = (_cover(d1, d2), m1 + m2, False)
+                if close(items[i], items[j]):
+                    items[i] = join(items[i], items[j])
                     items.pop(j)
                     merged = True
                 else:
                     j += 1
             i += 1
+    return items
+
+
+def _disks_overlap(item1, item2) -> bool:
+    (d1, _, _), (d2, _, _) = item1, item2
+    pad = 1e-12 * max(1.0, abs(d1.center))
+    return abs(d1.center - d2.center) <= d1.radius + d2.radius + pad
+
+
+def _merge_certify(counter, finals, rng, target: TargetValue):
+    """Merge overlapping disks, then certify every non-endgame disk."""
+    items = _merge_pairs(
+        finals, _disks_overlap, lambda a, b: (_cover(a[0], b[0]), a[1] + b[1], False)
+    )
     out = []
     for disk, mult, certified in items:
         if not certified:
@@ -605,8 +620,6 @@ def _witness_recurse(p: Polynomial, rng, levels: list) -> complex:
         kind = "constant-term-zero"
         root = 0j
     else:
-        from .verify import claim1_shape_check  # runtime import: verify sits above this module
-
         try:
             dec = claim1_shape_check(q)
             kind = "claim1"

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureNotConverged,
     RootOnBoundary,
 )
-from .localize import Disk, _cauchy_radius, localize_roots
+from .localize import Disk, _cauchy_radius, _merge_pairs, localize_roots
 from .quadrature import adaptive_simpson
 
 # relative half-width of the guard band around the counting circle
@@ -90,27 +90,16 @@ def _apoints(f: RationalFunction, a: TargetValue, radius: float, seed: int = 0):
     radius_eff = min(radius, _cauchy_radius(g) * (1.0 + 1e-6))
     tol = 1e-10 * max(1.0, radius_eff)
     encs = localize_roots(g, Disk(0j, radius_eff), tol, seed=seed)
-    pts = [(e.center, e.multiplicity, e.radius) for e in encs]
+
     # coalesce clusters that are one geometric point at desk resolution
-    merged = True
-    while merged:
-        merged = False
-        i = 0
-        while i < len(pts):
-            j = i + 1
-            while j < len(pts):
-                z1, m1, g1 = pts[i]
-                z2, m2, g2 = pts[j]
-                lim = COALESCE_REL * max(1.0, abs(z1))
-                if abs(z1 - z2) <= lim:
-                    zc = (z1 * m1 + z2 * m2) / (m1 + m2)
-                    gc = max(g1, g2, abs(z1 - z2))
-                    pts[i] = (zc, m1 + m2, gc)
-                    pts.pop(j)
-                    merged = True
-                else:
-                    j += 1
-            i += 1
+    def close(p1, p2):
+        return abs(p1[0] - p2[0]) <= COALESCE_REL * max(1.0, abs(p1[0]))
+
+    def join(p1, p2):
+        (z1, m1, g1), (z2, m2, g2) = p1, p2
+        return (z1 * m1 + z2 * m2) / (m1 + m2), m1 + m2, max(g1, g2, abs(z1 - z2))
+
+    pts = _merge_pairs([(e.center, e.multiplicity, e.radius) for e in encs], close, join)
     pts.sort(key=lambda t: (t[0].real, t[0].imag))
     # boundary-inflation retries may have let the contour creep past the
     # requested radius; keep the stated open-disk contract
@@ -119,8 +108,7 @@ def _apoints(f: RationalFunction, a: TargetValue, radius: float, seed: int = 0):
 
 def enumerate_a_points(f: RationalFunction, a, radius: float, *, seed: int = 0):
     """Certified a-points of f with |z| < radius, as (point, multiplicity)."""
-    a = as_target(a)
-    return [(p.z, p.multiplicity) for p in _apoints(_reduced(f), a, radius, seed=seed)]
+    return [(p.z, p.multiplicity) for p in _apoints(f, as_target(a), radius, seed=seed)]
 
 
 def _guard_hit(pts, r: float) -> bool:
@@ -155,13 +143,17 @@ def _N_at(pts, r: float, reduced: bool) -> float:
     return total + n0 * math.log(r)
 
 
-def _points_past(f: RationalFunction, a: TargetValue, r: float, seed: int):
+def _points_past(f: RationalFunction, a, r: float, seed: int):
     """Enumerate a-points on a disk slightly larger than r.
 
     The margin keeps the enumeration contour clear of a-points that sit on
     (or near) |z| = r itself; successive bumps dodge moduli that happen to
     land on the enlarged circle instead.
     """
+    a = as_target(a)
+    if not r > 0:
+        raise ValueError("r must be positive")
+    f = _reduced(f)
     last = None
     for bump in (2e-3, 3.4e-3, 5.9e-3, 9.7e-3):
         try:
@@ -173,10 +165,7 @@ def _points_past(f: RationalFunction, a: TargetValue, r: float, seed: int):
 
 def count_n(f: RationalFunction, a, r: float, reduced: bool = False, *, seed: int = 0) -> int:
     """Number of a-points in |z| < r (distinct points when ``reduced``)."""
-    a = as_target(a)
-    if not r > 0:
-        raise ValueError("r must be positive")
-    pts = _points_past(_reduced(f), a, r, seed)
+    pts = _points_past(f, a, r, seed)
     if _guard_hit(pts, r):
         raise BoundaryCoincidence(f"an a-point sits in the guard band of |z| = {r:g}")
     return _count_at(pts, r, reduced)
@@ -188,11 +177,7 @@ def counting_N(f: RationalFunction, a, r: float, reduced: bool = False, *, seed:
     The t-integral of the step count integrates exactly to
     sum_j w_j log(r/|z_j|) over 0 < |z_j| < r plus n(0) log r.
     """
-    a = as_target(a)
-    if not r > 0:
-        raise ValueError("r must be positive")
-    pts = _points_past(_reduced(f), a, r, seed)
-    return _N_at(pts, r, reduced)
+    return _N_at(_points_past(f, a, r, seed), r, reduced)
 
 
 def counting_N_integral(
@@ -205,18 +190,12 @@ def counting_N_integral(
     seed: int = 0,
 ) -> float:
     """Independent route: numeric integration of (n(t) - n(0))/t over (0, r]."""
-    a = as_target(a)
-    if not r > 0:
-        raise ValueError("r must be positive")
+    pts = _points_past(f, a, r, seed)
     cfg = cfg or DEFAULT_QUADRATURE
-    pts = _points_past(_reduced(f), a, r, seed)
     n0 = _origin_weight(pts, reduced)
-    inner = [p for p in pts if not _at_origin(p)]
-    moduli = np.array(sorted(p.modulus for p in inner), dtype=float)
-    weights = np.array(
-        [w for _, w in sorted(((p.modulus, 1 if reduced else p.multiplicity) for p in inner))],
-        dtype=float,
-    )
+    steps = sorted((p.modulus, 1 if reduced else p.multiplicity) for p in pts if not _at_origin(p))
+    moduli = np.array([mdl for mdl, _ in steps], dtype=float)
+    weights = np.array([w for _, w in steps], dtype=float)
     cum = np.concatenate([[0.0], np.cumsum(weights)])
 
     def step_over_t(t):
@@ -255,9 +234,7 @@ def _singularity_knots(r: float, roots, band: float):
     return knots
 
 
-def proximity_m(
-    f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None, *, seed: int = 0
-) -> float:
+def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Mean of log+ |g| on the circle |z| = r, g = f (a = inf) or 1/(f - a)."""
     a = as_target(a)
     if not r > 0:
@@ -307,6 +284,11 @@ def _log_plus(gn: Polynomial, gd: Polynomial, r: float, theta):
     return np.maximum(v, 0.0)
 
 
+def _t_series(f: RationalFunction, radii, cfg, pts_inf) -> list:
+    """T(r) = m(r, inf) + N(r, inf) at each radius, from the enumerated poles."""
+    return [proximity_m(f, INFINITY, r, cfg) + _N_at(pts_inf, r, False) for r in radii]
+
+
 def characteristic_T(
     f: RationalFunction, r: float, cfg: QuadratureConfig | None = None, *, seed: int = 0
 ) -> float:
@@ -314,9 +296,29 @@ def characteristic_T(
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("the characteristic needs a non-constant function")
-    return proximity_m(f, INFINITY, r, cfg, seed=seed) + counting_N(
-        f, INFINITY, r, seed=seed
-    )
+    return _t_series(f, [r], cfg, _points_past(f, INFINITY, r, seed))[0]
+
+
+def _check_grid(rgrid) -> list:
+    """Grid radii as floats: at least one, all positive, strictly increasing."""
+    rgrid = [float(r) for r in rgrid]
+    if not rgrid:
+        raise ValueError("rgrid needs at least one radius")
+    if any(not r > 0 for r in rgrid):
+        raise ValueError("rgrid radii must be positive")
+    if any(lo >= hi for lo, hi in zip(rgrid, rgrid[1:])):
+        raise ValueError("rgrid must be strictly increasing")
+    return rgrid
+
+
+def _grid_apoints(f: RationalFunction, targets, rgrid, seed: int) -> dict:
+    """A-points of each target and of infinity, enumerated once past the top radius."""
+    radius = rgrid[-1] * 1.01
+    pts = {}
+    for a in [*targets, INFINITY]:
+        if a not in pts:
+            pts[a] = _apoints(f, a, radius, seed=seed)
+    return pts
 
 
 @dataclass(frozen=True)
@@ -356,19 +358,11 @@ def build_profile(
     targets = [as_target(a) for a in targets]
     if not targets:
         return []
-    rgrid = [float(r) for r in rgrid]
-    if any(not r > 0 for r in rgrid) or any(
-        rgrid[i] >= rgrid[i + 1] for i in range(len(rgrid) - 1)
-    ):
-        raise ValueError("rgrid must be strictly increasing and positive")
+    rgrid = _check_grid(rgrid)
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("profiles need a non-constant function")
-    rmax = rgrid[-1] * 1.01
-    cache = {}
-    for a in [*targets, INFINITY]:
-        if a not in cache:
-            cache[a] = _apoints(f, a, rmax, seed=seed)
+    cache = _grid_apoints(f, targets, rgrid, seed)
 
     used_r = []
     nudges = []
@@ -384,10 +378,7 @@ def build_profile(
             nudges.append((r_req, r))
         used_r.append(r)
 
-    t_values = [
-        proximity_m(f, INFINITY, r, cfg, seed=seed) + _N_at(cache[INFINITY], r, False)
-        for r in used_r
-    ]
+    t_values = _t_series(f, used_r, cfg, cache[INFINITY])
 
     profiles = []
     for a in targets:
@@ -397,7 +388,7 @@ def build_profile(
             if a.is_infinite:
                 m_val = t_val - _N_at(pts, r, False)
             else:
-                m_val = proximity_m(f, a, r, cfg, seed=seed)
+                m_val = proximity_m(f, a, r, cfg)
             rows.append(
                 ProfileRow(
                     r=r,

@@ -14,29 +14,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import INFINITY, Polynomial, RationalFunction, TargetValue, as_target
-from .errors import (
-    BinomialShape,
-    ConstantFunction,
-    ConstantPolynomial,
-    DegreeTooSmall,
-    DuplicateTargets,
-    LinearCoefficientNonzero,
-    TooFewTargets,
+from . import nevanlinna
+from .algebra import (  # noqa: F401  (the shape-check names are re-exported)
+    INFINITY,
+    SHAPE_TOL_REL,
+    Claim1Decomposition,
+    Polynomial,
+    RationalFunction,
+    TargetValue,
+    as_target,
+    claim1_shape_check,
 )
+from .errors import ConstantFunction, ConstantPolynomial, DuplicateTargets, TooFewTargets
 from .nevanlinna import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    _apoints,
+    _grid_apoints,
     _N_at,
     _reduced,
+    _t_series,
     proximity_m,
 )
 
 DRIFT_TOL = 1e-3
 CLAIM1_DRIFT_TOL = 1e-2
-# relative threshold below which a coefficient counts as vanished
-SHAPE_TOL_REL = 1e-9
 
 
 def log_rgrid(rmin: float = 1.0, rmax: float = 1e4, points: int = 32):
@@ -84,11 +85,12 @@ def _check_grid(rgrid):
     rgrid = [float(r) for r in rgrid]
     if len(rgrid) < 2:
         raise ValueError("rgrid needs at least two points")
-    if any(not r > 0 for r in rgrid):
-        raise ValueError("rgrid radii must be positive")
-    if any(rgrid[i] >= rgrid[i + 1] for i in range(len(rgrid) - 1)):
-        raise ValueError("rgrid must be strictly increasing")
-    return rgrid
+    return nevanlinna._check_grid(rgrid)
+
+
+def _grid_zeros(p: Polynomial, rgrid, seed: int):
+    zero = TargetValue.finite(0.0)
+    return _grid_apoints(RationalFunction.from_polynomial(p), [zero], rgrid, seed)[zero]
 
 
 def _tail_drift(series) -> float:
@@ -119,12 +121,6 @@ def jensen_constant(f: RationalFunction, a) -> float:
     return math.log(abs(cn / cd))
 
 
-def _t_series(f, rgrid, cfg, pts_inf, seed):
-    return [
-        proximity_m(f, INFINITY, r, cfg, seed=seed) + _N_at(pts_inf, r, False) for r in rgrid
-    ]
-
-
 def verify_first_fundamental(
     f: RationalFunction,
     a,
@@ -148,13 +144,11 @@ def verify_first_fundamental(
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("first-fundamental verification needs a non-constant f")
-    rmax = rgrid[-1] * 1.01
-    pts_a = _apoints(f, a, rmax, seed=seed)
-    pts_inf = _apoints(f, INFINITY, rmax, seed=seed)
-    t_vals = _t_series(f, rgrid, cfg, pts_inf, seed)
+    pts = _grid_apoints(f, [a], rgrid, seed)
+    t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     series = []
     for r, t_val in zip(rgrid, t_vals):
-        series.append(proximity_m(f, a, r, cfg, seed=seed) + _N_at(pts_a, r, False) - t_val)
+        series.append(proximity_m(f, a, r, cfg) + _N_at(pts[a], r, False) - t_val)
     sup_abs = max(abs(v) for v in series)
     drift = _tail_drift(series)
     analytic = jensen_constant(f, a)
@@ -182,9 +176,7 @@ class DegreeFit(NamedTuple):
     residual: float
 
 
-def verify_degree_growth(
-    p: Polynomial, rgrid, cfg: QuadratureConfig | None = None, *, seed: int = 0
-) -> DegreeFit:
+def verify_degree_growth(p: Polynomial, rgrid, cfg: QuadratureConfig | None = None) -> DegreeFit:
     """Least-squares fit of T(r,p) against log r over the tail of the grid.
 
     The slope recovers the degree; the intercept is the bounded remainder.
@@ -196,7 +188,7 @@ def verify_degree_growth(
         raise ValueError("rgrid must span at least two decades")
     cfg = cfg or DEFAULT_QUADRATURE
     f = RationalFunction.from_polynomial(p)
-    t_vals = [proximity_m(f, INFINITY, r, cfg, seed=seed) for r in rgrid]
+    t_vals = [proximity_m(f, INFINITY, r, cfg) for r in rgrid]
     tail = len(rgrid) // 2
     x = np.log(np.asarray(rgrid[tail:]))
     y = np.asarray(t_vals[tail:])
@@ -240,12 +232,8 @@ def verify_second_fundamental(
         raise ConstantFunction("second-fundamental verification needs a non-constant f")
     if c_s is None:
         c_s = 4.0 * (q + f.numerator.degree + f.denominator.degree)
-    rmax = rgrid[-1] * 1.01
-    pts = {a: _apoints(f, a, rmax, seed=seed) for a in targets}
-    pts_inf = pts.get(INFINITY)
-    if pts_inf is None:
-        pts_inf = _apoints(f, INFINITY, rmax, seed=seed)
-    t_vals = _t_series(f, rgrid, cfg, pts_inf, seed)
+    pts = _grid_apoints(f, targets, rgrid, seed)
+    t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     series = []
     allowance = []
     for r, t_val in zip(rgrid, t_vals):
@@ -263,52 +251,6 @@ def verify_second_fundamental(
         verdict=bool(verdict),
         params={"q": q, "eps_s": eps_s, "c_s": c_s},
         components={"allowance": tuple(allowance)},
-    )
-
-
-@dataclass(frozen=True)
-class Claim1Decomposition:
-    """Shape data Q = z^l R(z) + b_m with m > 2, m > l >= 2, R(0) != 0."""
-
-    m: int
-    l: int
-    b0: complex
-    bm: complex
-    R: Polynomial
-    F: Polynomial
-
-
-def claim1_shape_check(q: Polynomial) -> Claim1Decomposition:
-    """Accept polynomials of shape b0 z^m + ... + b_{m-l} z^l + b_m.
-
-    Requires a vanished coefficient of z (relative to the coefficient
-    scale) and degree above two; the lowest surviving non-constant
-    exponent becomes l. A polynomial with no middle terms at all raises
-    BinomialShape: valid for closed-form rooting, outside this chain.
-    """
-    m = q.degree
-    if m <= 2:
-        raise DegreeTooSmall(f"degree {m} <= 2")
-    c = q.coefficients
-    tol = SHAPE_TOL_REL * q.coefficient_scale
-    if abs(c[1]) > tol:
-        raise LinearCoefficientNonzero(
-            f"|coefficient of z| = {abs(c[1]):.3e} exceeds {tol:.3e}"
-        )
-    l = None
-    for i in range(2, m):
-        if abs(c[i]) > tol:
-            l = i
-            break
-    if l is None:
-        raise BinomialShape(m, c[m], c[0])
-    return Claim1Decomposition(
-        m=m,
-        l=l,
-        b0=c[m],
-        bm=c[0],
-        R=Polynomial(c[l:]),
-        F=Polynomial([0j] * l + list(c[l:])),
     )
 
 
@@ -334,18 +276,12 @@ def claim1_chain_report(
     m, l = dec.m, dec.l
     ratio = (m - l + 1) / m
     f_big = RationalFunction.from_polynomial(dec.F)
-    rmax = rgrid[-1] * 1.01
-    pts_target = _apoints(f_big, TargetValue.finite(-dec.bm), rmax, seed=seed)
-    pts_zero_f = _apoints(f_big, TargetValue.finite(0.0), rmax, seed=seed)
-    z_l = Polynomial([0j] * l + [1.0])
-    pts_zl = _apoints(RationalFunction.from_polynomial(z_l), TargetValue.finite(0.0), rmax, seed=seed)
-    pts_r = (
-        _apoints(RationalFunction.from_polynomial(dec.R), TargetValue.finite(0.0), rmax, seed=seed)
-        if dec.R.degree > 0
-        else []
-    )
-    pts_inf = _apoints(f_big, INFINITY, rmax, seed=seed)
-    t_vals = _t_series(f_big, rgrid, cfg, pts_inf, seed)
+    target, zero = TargetValue.finite(-dec.bm), TargetValue.finite(0.0)
+    pts_f = _grid_apoints(f_big, [target, zero], rgrid, seed)
+    pts_target, pts_zero_f, pts_inf = pts_f[target], pts_f[zero], pts_f[INFINITY]
+    pts_zl = _grid_zeros(Polynomial([0j] * l + [1.0]), rgrid, seed)
+    pts_r = _grid_zeros(dec.R, rgrid, seed)
+    t_vals = _t_series(f_big, rgrid, cfg, pts_inf)
 
     series = []
     comp_t = []
@@ -417,9 +353,7 @@ def remark_fft_check(
     if p.degree == 0:
         raise ConstantPolynomial("remark check needs a non-constant polynomial")
     rgrid = _check_grid(rgrid)
-    pts = _apoints(
-        RationalFunction.from_polynomial(p), TargetValue.finite(0.0), rgrid[-1] * 1.01, seed=seed
-    )
+    pts = _grid_zeros(p, rgrid, seed)
     series = [_N_at(pts, r, False) - p.degree * math.log(r) for r in rgrid]
     drift = _tail_drift(series)
     return DeviationReport(

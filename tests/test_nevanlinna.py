@@ -188,6 +188,14 @@ def test_profile_empty_targets():
     assert build_profile(Z2_MINUS_1, [], [1.0, 2.0]) == []
 
 
+def test_profile_grid_rule():
+    (prof,) = build_profile(Z2_MINUS_1, ["0"], [2.0])
+    assert [(row.r, row.n) for row in prof.rows] == [(2.0, 2)]
+    for bad in ([2.0, 1.0], []):
+        with pytest.raises(ValueError):
+            build_profile(Z2_MINUS_1, ["0"], bad)
+
+
 def test_profile_rejects_constant():
     with pytest.raises(ConstantFunction):
         build_profile(as_rf(5.0), ["0"], [1.0, 2.0])

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import valdist.algebra
+import valdist.verify
 from valdist import (
     BinomialShape,
     ConstantPolynomial,
@@ -11,6 +13,7 @@ from valdist import (
     Polynomial,
     RationalFunction,
     TooFewTargets,
+    build_profile,
     claim1_chain_report,
     claim1_shape_check,
     jensen_constant,
@@ -129,7 +132,30 @@ def test_smt_default_allowance_scales_with_degrees():
     assert rep.params["c_s"] == 4.0 * (3 + 2 + 0)
 
 
+# -- one grid context for the profile and the verifiers ------------------------------------
+
+
+def test_grid_consumers_agree_bit_for_bit():
+    f = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-3, 1]))
+    targets = [0, 0.5, "inf"]
+    grid = log_rgrid(1.5, 1e4, 16)
+    profiles = build_profile(f, targets, grid)
+    assert all(not prof.nudges for prof in profiles)
+    fft = verify_first_fundamental(f, 0.5, grid)
+    assert list(fft.series) == [row.m + row.N - row.T for row in profiles[1].rows]
+    smt = verify_second_fundamental(f, targets, grid)
+    rows_at_r = list(zip(*(prof.rows for prof in profiles)))
+    q = len(targets)
+    assert list(smt.series) == [
+        sum(row.Nbar for row in rows) - (q - 2) * rows[0].T for rows in rows_at_r
+    ]
+
+
 # -- restricted-shape check ---------------------------------------------------------------
+
+
+def test_shape_check_lives_in_algebra():
+    assert valdist.verify.claim1_shape_check is valdist.algebra.claim1_shape_check
 
 
 def test_shape_accepts_cubic_walkthrough():

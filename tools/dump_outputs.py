@@ -1,0 +1,99 @@
+"""Usage: python tools/dump_outputs.py <checkout> <out>
+
+Writes to <out> full-precision reprs of a fixed, seeded call set run on
+valdist from <checkout>/src: the README CLI commands, profiles, verifiers,
+counting functions, localize_roots and fta_witness. A change meant to keep
+results passes when `cmp` finds the dumps of the parent and the change equal.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+checkout, out_path = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
+sys.path.insert(0, str(checkout / "src"))
+import valdist as vd  # noqa: E402
+from valdist.cli import main as cli  # noqa: E402
+
+P = vd.Polynomial
+FUNCTIONS = {
+    "readme": vd.RationalFunction(P([-1, 0, 1]), P([-3, 1])),
+    "complex": vd.RationalFunction(P([-0.5, 1 + 2j, 0, 1]), P([0.3j, 0, 1])),
+    "pole0": vd.RationalFunction(P([5, 1]), P([0, 2, 1])),
+}
+TARGETS = [0, 0.5, "inf"]
+POLYS = {
+    "z2+1": P([1, 0, 1]),
+    "cubic": P([1, -3, 0, 1]),
+    "claim1": P([-1, 0, 3, 1]),
+    "double": P([2, -3, 0, 1]),
+    "quartic": P([5, 0, 1, 0, 2]),
+    "binomial": P([2, 0, 0, 0, 0, 1]),
+    "complex6": P([0.3 - 1j, 2j, -1.5, 0.25 + 0.5j, 1, -0.7j, 1.1]),
+}
+GRID = vd.log_rgrid(1.0, 1e4, 16)
+INPUTS = {
+    "z2.json": [[0, 0], [0, 0], [1, 0]],
+    "cubic.json": [[-1, 0], [0, 0], [3, 0], [1, 0]],
+    "readme.json": {"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": [[-3, 0], [1, 0]]},
+}
+CLI = [
+    ["profile", "--function", "z2.json", "--a", "0,inf", "--out", "tables"],
+    ["profile", "--function", "readme.json", "--a", "0,0.5,inf", "--points", "16", "--out", "t2"],
+    ["verify", "fft", "--function", "z2.json", "--a", "1", "--out", "fft.json"],
+    ["verify", "smt", "--function", "z2.json", "--a", "0,1,inf"],
+    ["verify", "smt", "--function", "readme.json", "--a", "0,0.5,inf", "--seed", "3"],
+    ["verify", "degree", "--poly", "z2.json"],
+    ["verify", "claim1", "--poly", "cubic.json"],
+    ["verify", "remark", "--poly", "z2.json"],
+    ["verify", "smt", "--function", "z2.json", "--a", "0,inf"],
+    ["fta-witness", "--poly", "cubic.json", "--tol", "1e-10", "--out", "witness.json"],
+]
+
+
+def show(label, call):
+    try:
+        value = call()
+    except (vd.ValdistError, ValueError) as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    print(f"## {label}\n{value!r}")
+
+
+def library():
+    for name, f in FUNCTIONS.items():
+        show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID, seed=1))
+        show(f"fft {name}", lambda: vd.verify_first_fundamental(f, 0.5, GRID))
+        show(f"smt {name}", lambda: vd.verify_second_fundamental(f, TARGETS, GRID, seed=2))
+        for a in TARGETS:
+            show(f"points {name} {a}", lambda: vd.enumerate_a_points(f, a, 50.0))
+            for r in (0.5, 3.0, 40.0):
+                for fn in (vd.count_n, vd.counting_N, vd.counting_N_integral, vd.proximity_m):
+                    show(f"{fn.__name__} {name} {a} {r}", lambda: fn(f, a, r))
+        show(f"T {name}", lambda: [vd.characteristic_T(f, r) for r in GRID])
+    for name, p in POLYS.items():
+        show(f"roots {name}", lambda: vd.localize_roots(p, vd.Box(0j, 4.0, 4.0), 1e-10, seed=5))
+        show(f"witness {name}", lambda: vd.fta_witness(p, seed=5))
+        for fn in (vd.verify_degree_growth, vd.claim1_chain_report, vd.remark_fft_check):
+            show(f"{fn.__name__} {name}", lambda: fn(p, GRID))
+
+
+def command_line():
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, data in INPUTS.items():
+            Path(name).write_text(json.dumps(data))
+        for argv in CLI:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+                code = cli(argv)
+            print(f"## valdist {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
+            for path in sorted(q for q in Path(".").rglob("*") if q.is_file() and q.name not in INPUTS):
+                print(f"# {path}\n{path.read_text()}")
+                path.unlink()
+
+
+with open(out_path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+    library()
+    command_line()
