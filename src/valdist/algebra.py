@@ -193,11 +193,7 @@ class Polynomial:
 
     def eval_magnitude_bound(self, z: complex) -> float:
         """Sum of |c_i| |z|^i: the roundoff scale of evaluating at z."""
-        az = abs(z)
-        acc = abs(self._coeffs[-1])
-        for c in self._coeffs[-2::-1]:
-            acc = acc * az + abs(c)
-        return acc
+        return float(self.bound_many(abs(z)))
 
     def bound_many(self, z_abs) -> np.ndarray:
         """Vectorized sum of |c_i| |z|^i over an array of point moduli."""

@@ -28,6 +28,7 @@ from .localize import fta_witness
 from .nevanlinna import QuadratureConfig, build_profile
 from .verify import (
     claim1_chain_report,
+    degree_verdict,
     log_rgrid,
     remark_fft_check,
     verify_degree_growth,
@@ -80,8 +81,7 @@ def _load_polynomial(path: str) -> Polynomial:
             f = RationalFunction.from_json(data)
             if f.denominator.degree > 0:
                 raise ValueError("a polynomial file must not carry a denominator")
-            p = f.numerator * (1.0 / f.denominator.coefficients[0])
-            return p
+            return f.numerator * (1.0 / f.denominator.coefficients[0])
         return Polynomial.from_json(data)
     except ValueError as exc:
         raise _UsageError(f"bad polynomial file {path}: {exc}") from exc
@@ -143,31 +143,24 @@ def _cmd_profile(args) -> int:
 
 def _cmd_verify(args) -> int:
     rgrid = _grid(args)
-    cfg = QuadratureConfig(abs_tol=args.tol)
     name = args.theorem
     if name == "fft":
-        if not args.function:
-            raise _UsageError("verify fft needs --function")
+        cfg = QuadratureConfig(abs_tol=args.tol)
         targets = _parse_targets(args.a)
         if len(targets) != 1 or targets[0].is_infinite:
             raise _UsageError("verify fft needs exactly one finite target in --a")
-        report = verify_first_fundamental(
-            _load_function(args.function), targets[0], rgrid, cfg, seed=args.seed
-        )
+        f = _load_function(args.function)
+        report = verify_first_fundamental(f, targets[0], rgrid, cfg, seed=args.seed)
     elif name == "smt":
-        if not args.function:
-            raise _UsageError("verify smt needs --function")
+        cfg = QuadratureConfig(abs_tol=args.tol)
         targets = _parse_targets(args.a)
-        report = verify_second_fundamental(
-            _load_function(args.function), targets, rgrid, cfg, seed=args.seed
-        )
+        f = _load_function(args.function)
+        report = verify_second_fundamental(f, targets, rgrid, cfg, seed=args.seed)
     elif name == "degree":
-        if not args.poly:
-            raise _UsageError("verify degree needs --poly")
+        cfg = QuadratureConfig(abs_tol=args.tol)
         p = _load_polynomial(args.poly)
         fit = verify_degree_growth(p, rgrid, cfg)
-        rounded = int(round(fit.slope))
-        verdict = abs(fit.slope - rounded) <= 1e-3 and rounded == p.degree
+        rounded, verdict = degree_verdict(fit.slope, p.degree)
         _emit_json(
             {
                 "theorem": "degree",
@@ -183,63 +176,65 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_OK if verdict else EXIT_FAIL
     elif name == "claim1":
-        if not args.poly:
-            raise _UsageError("verify claim1 needs --poly")
+        cfg = QuadratureConfig(abs_tol=args.tol)
         report = claim1_chain_report(_load_polynomial(args.poly), rgrid, cfg, seed=args.seed)
-    elif name == "remark":
-        if not args.poly:
-            raise _UsageError("verify remark needs --poly")
-        report = remark_fft_check(_load_polynomial(args.poly), rgrid, cfg, seed=args.seed)
-    else:  # argparse choices make this unreachable
-        raise _UsageError(f"unknown theorem {name!r}")
+    else:  # remark reads no quadrature tolerance
+        report = remark_fft_check(_load_polynomial(args.poly), rgrid, seed=args.seed)
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_OK if report.verdict else EXIT_FAIL
+
+
+def _pair(z: complex) -> list:
+    return [z.real, z.imag]
 
 
 def _cmd_fta_witness(args) -> int:
     p = _load_polynomial(args.poly)
     trace = fta_witness(p, args.tol, seed=args.seed)
-    scale = p.coefficient_scale
     levels = []
     for lv in trace.claim1_checks:
-        entry = {
-            "kind": lv.kind,
-            "shift": [lv.shift.real, lv.shift.imag],
-            "linear_ratio": lv.linear_ratio,
-        }
-        if lv.decomposition is not None:
-            dec = lv.decomposition
-            entry["decomposition"] = {
-                "m": dec.m,
-                "l": dec.l,
-                "b0": [dec.b0.real, dec.b0.imag],
-                "bm": [dec.bm.real, dec.bm.imag],
-            }
+        entry = {"kind": lv.kind, "shift": _pair(lv.shift), "linear_ratio": lv.linear_ratio}
+        if (dec := lv.decomposition) is not None:
+            b0, bm = _pair(dec.b0), _pair(dec.bm)
+            entry["decomposition"] = {"m": dec.m, "l": dec.l, "b0": b0, "bm": bm}
         levels.append(entry)
-    ok = trace.residual <= args.tol * scale
     _emit_json(
         {
-            "witness": [trace.witness.real, trace.witness.imag],
+            "witness": _pair(trace.witness),
             "residual": trace.residual,
             "depth": trace.depth,
-            "shifts": [[h.real, h.imag] for h in trace.shifts],
+            "shifts": [_pair(h) for h in trace.shifts],
             "levels": levels,
             "tol": args.tol,
-            "coefficient_scale": scale,
-            "verdict": "pass" if ok else "fail",
+            "coefficient_scale": p.coefficient_scale,
+            # fta_witness raises unless the residual is within tol x scale
+            "verdict": "pass",
         },
         args.out,
     )
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK
 
 
-def _add_common(parser, *, tol_default, tol_help):
-    parser.add_argument("--rmin", type=float, default=1.0, help="smallest grid radius")
-    parser.add_argument("--rmax", type=float, default=1e4, help="largest grid radius")
-    parser.add_argument("--points", type=int, default=32, help="log-spaced grid size")
-    parser.add_argument("--tol", type=float, default=tol_default, help=tol_help)
-    parser.add_argument("--seed", type=int, default=0, help="seed for contour perturbations")
-    parser.add_argument("--out", default=None, help="output path")
+# every option a command may take; each command declares the ones it reads
+_OPTIONS = {
+    "--function": dict(required=True, help="rational function JSON file"),
+    "--poly": dict(required=True, help="polynomial JSON file"),
+    "--a": dict(required=True, help="comma list of targets, e.g. '0,1+2i,inf'"),
+    "--rmin": dict(type=float, default=1.0, help="smallest grid radius"),
+    "--rmax": dict(type=float, default=1e4, help="largest grid radius"),
+    "--points": dict(type=int, default=32, help="log-spaced grid size"),
+    "--tol": dict(type=float, default=1e-9, help="quadrature absolute tolerance"),
+    "--seed": dict(type=int, default=0, help="seed for contour perturbations"),
+    "--out": dict(default=None, help="output path"),
+}
+_FUNCTION_FLAGS = "--function --a --rmin --rmax --points --tol --seed --out"
+
+
+def _add_command(sub, name, func, flags, summary, **overrides):
+    parser = sub.add_parser(name, help=summary)
+    for flag in flags.split():
+        parser.add_argument(flag, **{**_OPTIONS[flag], **overrides.get(flag[2:], {})})
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,25 +243,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Value-distribution profiles, theorem verification, and root witnesses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_prof = sub.add_parser("profile", help="tabulate n, N, Nbar, m, T per target")
-    p_prof.add_argument("--function", required=True, help="rational function JSON file")
-    p_prof.add_argument("--a", required=True, help="comma list of targets, e.g. '0,1+2i,inf'")
-    _add_common(p_prof, tol_default=1e-9, tol_help="quadrature absolute tolerance")
-    p_prof.set_defaults(func=_cmd_profile)
-
-    p_ver = sub.add_parser("verify", help="run one theorem verifier")
-    p_ver.add_argument("theorem", choices=["fft", "smt", "degree", "claim1", "remark"])
-    p_ver.add_argument("--function", help="rational function JSON file")
-    p_ver.add_argument("--poly", help="polynomial JSON file")
-    p_ver.add_argument("--a", default="", help="target list (fft: one finite; smt: >= 3)")
-    _add_common(p_ver, tol_default=1e-9, tol_help="quadrature absolute tolerance")
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_fta = sub.add_parser("fta-witness", help="produce a root witness with trace")
-    p_fta.add_argument("--poly", required=True, help="polynomial JSON file")
-    _add_common(p_fta, tol_default=1e-10, tol_help="residual tolerance (x coefficient scale)")
-    p_fta.set_defaults(func=_cmd_fta_witness)
+    _add_command(
+        sub, "profile", _cmd_profile, _FUNCTION_FLAGS, "tabulate n, N, Nbar, m, T per target"
+    )
+    verify = sub.add_parser("verify", help="run one theorem verifier")
+    theorems = verify.add_subparsers(dest="theorem", required=True)
+    for name, flags, summary in (
+        ("fft", _FUNCTION_FLAGS, "first fundamental theorem at one finite target"),
+        ("smt", _FUNCTION_FLAGS, "second fundamental theorem at three or more targets"),
+        ("degree", "--poly --rmin --rmax --points --tol --out", "degree from the growth of T"),
+        ("claim1", "--poly --rmin --rmax --points --tol --seed --out", "restricted-shape chain"),
+        ("remark", "--poly --rmin --rmax --points --seed --out", "N(r,0) grows like deg log r"),
+    ):
+        _add_command(theorems, name, _cmd_verify, flags, summary)
+    _add_command(
+        sub, "fta-witness", _cmd_fta_witness, "--poly --tol --seed --out",
+        "produce a root witness with trace",
+        tol=dict(default=1e-10, help="residual tolerance (x coefficient scale)"),
+    )
     return parser
 
 
@@ -275,10 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _INPUT_ERRORS as exc:
+    except (_UsageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValdistError as exc:

@@ -35,6 +35,12 @@ WINDING_MAX_NODES = 2**20
 # a root closer than this (relative to region size) counts as "on" the contour
 CONTOUR_BAND_REL = 1e-9
 SNAP_MARGIN = 0.25
+# quadtree boxes one descent may process before giving up
+MAX_BOXES = 50000
+# whole-tree descents localize_roots tries before a RootOnBoundary stands
+ISOLATE_ATTEMPTS = 4
+# exact-arithmetic Newton steps tried below the float roundoff halo
+NEWTON_EXACT_ITERS = 8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -239,19 +245,14 @@ class _ContourCounter:
         d_est = math.inf if math.isnan(d) else float(d)
         return value, d_est
 
-    def certified(
-        self,
-        region: Region,
-        start_nodes: int = WINDING_START_NODES,
-        max_nodes: int = WINDING_MAX_NODES,
-    ) -> int:
+    def certified(self, region: Region) -> int:
         size = region.size
         delta = CONTOUR_BAND_REL * size
-        n = start_nodes
+        n = WINDING_START_NODES
         prev_k = None
         prev_ok = False
         min_d = math.inf
-        while n <= max_nodes:
+        while n <= WINDING_MAX_NODES:
             value, d_est = self.once(region, n)
             min_d = min(min_d, d_est)
             if d_est < delta:
@@ -312,10 +313,10 @@ def _certified_with_retries(counter: _ContourCounter, region: Region, rng) -> tu
     raise AssertionError("unreachable")
 
 
-def _newton_exact(p, dp, z, multiplicity, iters=8):
+def _newton_exact(p, dp, z, multiplicity):
     """Newton steps with exactly evaluated residuals; beats the float halo."""
     step = math.inf
-    for _ in range(iters):
+    for _ in range(NEWTON_EXACT_ITERS):
         dv = dp.eval_exact(z)
         if dv == 0:
             break
@@ -373,7 +374,7 @@ def _children_counts(counter, box, count, rng):
     raise RootOnBoundary("could not place subdivision lines clear of the roots")
 
 
-def _shrink_start(counter, box, count, floor_diameter=0.0):
+def _shrink_start(counter, box, count):
     """Halve the starting box toward its roots while the count is unchanged.
 
     Cauchy bounds can overshoot the actual root spread by orders of
@@ -382,7 +383,7 @@ def _shrink_start(counter, box, count, floor_diameter=0.0):
     descent). Halving is free certificate-wise: the count pins the roots.
     """
     for _ in range(60):
-        if box.diameter <= max(floor_diameter, 8.0 * (1.0 + abs(box.center)) * _EPS):
+        if box.diameter <= 8.0 * (1.0 + abs(box.center)) * _EPS:
             break
         candidate = Box(box.center, box.half_re / 2.0, box.half_im / 2.0)
         try:
@@ -394,7 +395,7 @@ def _shrink_start(counter, box, count, floor_diameter=0.0):
     return box
 
 
-def _isolate(counter, p, dp, box0, count0, tol, rng, max_boxes=50000):
+def _isolate(counter, p, dp, box0, count0, tol, rng):
     """Quadtree descent; returns (disk, multiplicity, already_certified) triples."""
     stack = [(box0, count0)]
     finals = []
@@ -404,7 +405,7 @@ def _isolate(counter, p, dp, box0, count0, tol, rng, max_boxes=50000):
         if count == 0:
             continue
         processed += 1
-        if processed > max_boxes:
+        if processed > MAX_BOXES:
             raise SubdivisionDepthExceeded("subdivision budget exhausted")
         if box.diameter <= tol:
             finals.append((Disk(box.center, 0.5 * box.diameter), count, False))
@@ -503,17 +504,15 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
     else:
         box0, box_total = _certified_with_retries(counter, box0, rng)
     box0 = _shrink_start(counter, box0, box_total)
-    finals = None
-    for _ in range(3):
+    for attempt in range(ISOLATE_ATTEMPTS):
         try:
             finals = _isolate(counter, p, counter.dnum, box0, box_total, tol, rng)
             break
         except RootOnBoundary:
             # an interior split line pinned a root through inherited edges;
             # fresh pseudo-random offsets re-randomize the whole tree
-            continue
-    if finals is None:
-        finals = _isolate(counter, p, counter.dnum, box0, box_total, tol, rng)
+            if attempt == ISOLATE_ATTEMPTS - 1:
+                raise
     encs = _merge_certify(counter, finals, rng, TargetValue.finite(0.0))
     if isinstance(region_eff, Disk):
         encs = [e for e in encs if region_eff.contains(e.center)]
@@ -660,7 +659,7 @@ def fta_witness(p: Polynomial, tol: float = 1e-10, *, seed: int = 0) -> WitnessT
         w = w2
     residual = abs(p(w))
     scale = p.coefficient_scale
-    if residual > tol * scale:
+    if not residual <= tol * scale:  # a nan residual fails too
         raise LocalizationFailed(
             f"witness residual {residual:.3e} exceeds {tol:.1e} x coefficient scale {scale:.3e}"
         )

@@ -38,6 +38,8 @@ from .nevanlinna import (
 
 DRIFT_TOL = 1e-3
 CLAIM1_DRIFT_TOL = 1e-2
+# a fitted T(r) slope counts as an integer degree within this distance
+DEGREE_SLOPE_TOL = 1e-3
 
 
 def log_rgrid(rmin: float = 1.0, rmax: float = 1e4, points: int = 32):
@@ -197,6 +199,12 @@ def verify_degree_growth(p: Polynomial, rgrid, cfg: QuadratureConfig | None = No
     return DegreeFit(float(slope), float(intercept), residual)
 
 
+def degree_verdict(slope: float, degree: int) -> tuple[int, bool]:
+    """The rounded slope, and whether it is within DEGREE_SLOPE_TOL of ``degree``."""
+    rounded = int(round(slope))
+    return rounded, abs(slope - rounded) <= DEGREE_SLOPE_TOL and rounded == degree
+
+
 def verify_second_fundamental(
     f: RationalFunction,
     targets,
@@ -339,7 +347,6 @@ def claim1_chain_report(
 def remark_fft_check(
     p: Polynomial,
     rgrid,
-    cfg: QuadratureConfig | None = None,
     *,
     drift_tol: float = DRIFT_TOL,
     seed: int = 0,

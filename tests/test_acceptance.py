@@ -179,7 +179,7 @@ def test_criterion_6_remark_check():
     for k in range(50):
         degree = 1 + (k % 10)
         p = random_polynomial(rng, degree)
-        rep = remark_fft_check(p, GRID, CFG)
+        rep = remark_fft_check(p, GRID)
         worst = max(worst, rep.tail_drift)
         assert rep.verdict
     ok = worst <= 1e-3

@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+
+from valdist.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -188,3 +191,42 @@ def test_verify_json_deterministic(square_file, tmp_path):
 def test_unknown_theorem_is_usage_error(square_file):
     cp = run_cli("verify", "nonsense", "--function", str(square_file), "--a", "0")
     assert cp.returncode == 2
+
+
+COMMAND_FLAGS = {
+    ("profile",): "--function --a --rmin --rmax --points --tol --seed --out",
+    ("verify", "fft"): "--function --a --rmin --rmax --points --tol --seed --out",
+    ("verify", "smt"): "--function --a --rmin --rmax --points --tol --seed --out",
+    ("verify", "degree"): "--poly --rmin --rmax --points --tol --out",
+    ("verify", "claim1"): "--poly --rmin --rmax --points --tol --seed --out",
+    ("verify", "remark"): "--poly --rmin --rmax --points --seed --out",
+    ("fta-witness",): "--poly --tol --seed --out",
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS), ids=" ".join)
+def test_command_declares_only_the_flags_it_reads(command):
+    parser = build_parser()
+    for name in command:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    assert flags == set(COMMAND_FLAGS[command].split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "fta-witness --poly p.json --points 8",
+        "verify degree --poly p.json --seed 1",
+        "verify remark --poly p.json --tol 1e-9",
+        "verify fft --function f.json --a 1 --poly f",
+        "verify claim1 --poly p.json --a 0",
+        "verify fft --a 1",
+    ],
+)
+def test_unread_or_missing_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

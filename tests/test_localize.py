@@ -1,9 +1,11 @@
 import pytest
 
+import valdist.localize
 from valdist import (
     Box,
     ConstantPolynomial,
     Disk,
+    LocalizationFailed,
     Polynomial,
     RationalFunction,
     fta_witness,
@@ -166,6 +168,12 @@ def test_witness_binomial_shortcut():
 def test_witness_rejects_constant():
     with pytest.raises(ConstantPolynomial):
         fta_witness(Polynomial([4.2]))
+
+
+def test_witness_rejects_nan_residual(monkeypatch):
+    monkeypatch.setattr(valdist.localize, "_witness_recurse", lambda p, rng, levels: complex("nan"))
+    with pytest.raises(LocalizationFailed):
+        fta_witness(Polynomial([1, -3, 0, 1]))
 
 
 def test_witness_random_corpus():

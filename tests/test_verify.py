@@ -96,6 +96,13 @@ def test_degree_growth_identity_map():
     assert fit.residual <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "slope, rounded, passed", [(5.0009, 5, True), (5.0011, 5, False), (4.0, 4, False)]
+)
+def test_degree_verdict_boundaries(slope, rounded, passed):
+    assert valdist.verify.degree_verdict(slope, 5) == (rounded, passed)
+
+
 def test_degree_growth_rejects_constant_and_short_grids():
     with pytest.raises(ConstantPolynomial):
         verify_degree_growth(Polynomial([3]), GRID)
