@@ -402,16 +402,8 @@ class RationalFunction:
     def degree_max(self) -> int:
         return max(self.numerator.degree, self.denominator.degree)
 
-    def minus(self, a) -> "RationalFunction":
-        """f - a over the same denominator (a finite)."""
-        return RationalFunction(
-            self.numerator - _as_complex(a) * self.denominator,
-            self.denominator,
-            reduced=self.reduced,
-        )
-
-    def reduce(self, tol: float | None = None) -> "RationalFunction":
-        return reduce_common_roots(self, tol=tol)
+    def reduce(self) -> "RationalFunction":
+        return reduce_common_roots(self)
 
     @property
     def is_constant(self) -> bool:
@@ -466,14 +458,14 @@ def _deflate(p: Polynomial, root: complex) -> Polynomial:
     return Polynomial(out[::-1])
 
 
-def reduce_common_roots(f: RationalFunction, tol: float | None = None) -> RationalFunction:
+def reduce_common_roots(f: RationalFunction) -> RationalFunction:
     """Cancel numerator/denominator roots that coincide within tolerance.
 
     The returned function agrees with ``f`` away from the cancelled points
     and carries ``reduced=True``. Coincidence is decided on root clusters:
     each numerator root is greedily matched to the nearest unused
     denominator root and the pair is cancelled when their distance is
-    below ``tol`` (default GCD_TOL_REL times the joint coefficient scale).
+    below GCD_TOL_REL times the joint coefficient scale.
     """
     if f.denominator.is_zero:
         raise IdenticallyZeroDenominator("denominator is identically zero")
@@ -482,9 +474,7 @@ def reduce_common_roots(f: RationalFunction, tol: float | None = None) -> Ration
         return RationalFunction(Polynomial.zero(), Polynomial.one(), reduced=True)
     if num.degree == 0 or den.degree == 0:
         return RationalFunction(num, den, reduced=True)
-    scale = max(num.coefficient_scale, den.coefficient_scale)
-    if tol is None:
-        tol = GCD_TOL_REL * scale
+    tol = GCD_TOL_REL * max(num.coefficient_scale, den.coefficient_scale)
     nroots = sorted(_roots_hint(num), key=lambda z: (z.real, z.imag))
     droots = sorted(_roots_hint(den), key=lambda z: (z.real, z.imag))
     used = [False] * len(droots)

@@ -463,7 +463,7 @@ def _disks_overlap(item1, item2) -> bool:
     return abs(d1.center - d2.center) <= d1.radius + d2.radius + pad
 
 
-def _merge_certify(counter, finals, rng, target: TargetValue):
+def _merge_certify(counter, finals, rng):
     """Merge overlapping disks, then certify every non-endgame disk."""
     items = _merge_pairs(
         finals, _disks_overlap, lambda a, b: (_cover(a[0], b[0]), a[1] + b[1], False)
@@ -477,7 +477,7 @@ def _merge_certify(counter, finals, rng, target: TargetValue):
                     f"enclosure winding {w} != accumulated multiplicity {mult}"
                 )
             disk = region
-        out.append(RootEnclosure(disk, mult, target))
+        out.append(RootEnclosure(disk, mult))
     return out
 
 
@@ -513,7 +513,7 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
             # fresh pseudo-random offsets re-randomize the whole tree
             if attempt == ISOLATE_ATTEMPTS - 1:
                 raise
-    encs = _merge_certify(counter, finals, rng, TargetValue.finite(0.0))
+    encs = _merge_certify(counter, finals, rng)
     if isinstance(region_eff, Disk):
         encs = [e for e in encs if region_eff.contains(e.center)]
     got = sum(e.multiplicity for e in encs)

@@ -34,6 +34,11 @@ from .quadrature import adaptive_simpson
 
 # relative half-width of the guard band around the counting circle
 BOUNDARY_GUARD_REL = 1e-12
+# roots within this relative distance of the circle |z| = r get a ladder
+# of quadrature knots around their angle
+SINGULARITY_BAND_REL = 1e-6
+# halvings the adaptive quadrature may make below each seeded interval
+MAX_SUBDIVISIONS = 24
 NUDGE_FACTOR = 1.0 + 1e-9
 # a-points closer than this (relative) are one geometric point for the
 # reduced counts; matches the cancellation tolerance of the algebra layer
@@ -43,16 +48,10 @@ COALESCE_REL = 1e-8
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-9
-    max_subdivisions: int = 24
-    singularity_refine_band: float = 1e-6
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if not self.singularity_refine_band > 0:
-            raise ValueError("singularity_refine_band must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -210,19 +209,19 @@ def counting_N_integral(
             off = max(1e-13 * mdl, 256.0 * np.finfo(float).eps * r)
             knots.extend([mdl - off, mdl + off])
     integral = adaptive_simpson(
-        step_over_t, 0.0, r, abs_tol=cfg.abs_tol, max_depth=cfg.max_subdivisions, knots=knots
+        step_over_t, 0.0, r, abs_tol=cfg.abs_tol, max_depth=MAX_SUBDIVISIONS, knots=knots
     )
     return integral + n0 * math.log(r)
 
 
-def _singularity_knots(r: float, roots, band: float):
+def _singularity_knots(r: float, roots):
     """Geometric ladder of angles around roots that hug the circle |z| = r."""
     knots = []
     tau = 2.0 * math.pi
     for z in roots:
         z = complex(z)
         d_rel = abs(abs(z) - r) / r
-        if d_rel > band:
+        if d_rel > SINGULARITY_BAND_REL:
             continue
         theta = math.atan2(z.imag, z.real) % tau
         knots.append(theta)
@@ -247,7 +246,7 @@ def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None =
         gd = _target_poly(f, a)
         gn = f.denominator
     hints = _roots_hint(gd) + _roots_hint(gn)
-    knots = _singularity_knots(r, hints, cfg.singularity_refine_band)
+    knots = _singularity_knots(r, hints)
 
     def integrand(theta):
         theta = np.asarray(theta, dtype=float)
@@ -271,7 +270,7 @@ def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None =
         0.0,
         tau,
         abs_tol=cfg.abs_tol * tau / 16.0,
-        max_depth=cfg.max_subdivisions,
+        max_depth=MAX_SUBDIVISIONS,
         knots=knots,
     )
     return max(integral / tau, 0.0)
@@ -354,7 +353,6 @@ def build_profile(
     Grid radii that put an a-point in the guard band are nudged upward by
     a factor of (1 + 1e-9) until clear, and the nudge is recorded.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     targets = [as_target(a) for a in targets]
     if not targets:
         return []

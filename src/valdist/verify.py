@@ -2,8 +2,8 @@
 
 Each verifier evaluates a deviation (or slack) series over an increasing
 r-grid and reduces it to a verdict: bounded deviations must stop drifting
-over the tail of the grid, inequalities must hold up to an explicit,
-configurable error-term allowance.
+over the tail of the grid, inequalities must hold up to an explicit
+error-term allowance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .algebra import (  # noqa: F401  (the shape-check names are re-exported)
 )
 from .errors import ConstantFunction, ConstantPolynomial, DuplicateTargets, TooFewTargets
 from .nevanlinna import (
-    DEFAULT_QUADRATURE,
     QuadratureConfig,
     _grid_apoints,
     _N_at,
@@ -95,6 +94,11 @@ def _grid_zeros(p: Polynomial, rgrid, seed: int):
     return _grid_apoints(RationalFunction.from_polynomial(p), [zero], rgrid, seed)[zero]
 
 
+def _smt_allowance(c_s: float, r: float) -> float:
+    """Error allowance c_s log(r + 2) + c_s of the second fundamental theorem."""
+    return c_s * math.log(r + 2.0) + c_s
+
+
 def _tail_drift(series) -> float:
     tail = series[len(series) // 2 :]
     last = series[-1]
@@ -129,7 +133,6 @@ def verify_first_fundamental(
     rgrid,
     cfg: QuadratureConfig | None = None,
     *,
-    drift_tol: float = DRIFT_TOL,
     seed: int = 0,
 ) -> DeviationReport:
     """Deviation [m(r,a) + N(r,a)] - T(r,f): bounded, eventually constant.
@@ -141,7 +144,6 @@ def verify_first_fundamental(
     a = as_target(a)
     if a.is_infinite:
         raise ValueError("the infinite target is the identity case; pass a finite a")
-    cfg = cfg or DEFAULT_QUADRATURE
     rgrid = _check_grid(rgrid)
     f = _reduced(f)
     if f.is_constant:
@@ -162,9 +164,9 @@ def verify_first_fundamental(
         series=tuple(series),
         sup_abs=sup_abs,
         tail_drift=drift,
-        verdict=bool(math.isfinite(sup_abs) and drift <= drift_tol),
+        verdict=bool(math.isfinite(sup_abs) and drift <= DRIFT_TOL),
         params={
-            "drift_tol": drift_tol,
+            "drift_tol": DRIFT_TOL,
             "jensen_constant": analytic,
             "jensen_empirical": empirical,
             "jensen_gap": abs(empirical - analytic),
@@ -188,9 +190,8 @@ def verify_degree_growth(p: Polynomial, rgrid, cfg: QuadratureConfig | None = No
     rgrid = _check_grid(rgrid)
     if rgrid[-1] / rgrid[0] < 99.99:
         raise ValueError("rgrid must span at least two decades")
-    cfg = cfg or DEFAULT_QUADRATURE
-    f = RationalFunction.from_polynomial(p)
-    t_vals = [proximity_m(f, INFINITY, r, cfg) for r in rgrid]
+    # a polynomial has no poles, so T(r) is m(r, inf)
+    t_vals = _t_series(RationalFunction.from_polynomial(p), rgrid, cfg, [])
     tail = len(rgrid) // 2
     x = np.log(np.asarray(rgrid[tail:]))
     y = np.asarray(t_vals[tail:])
@@ -211,15 +212,14 @@ def verify_second_fundamental(
     rgrid,
     cfg: QuadratureConfig | None = None,
     *,
-    eps_s: float = 0.0,
-    c_s: float | None = None,
     seed: int = 0,
 ) -> DeviationReport:
     """Slack sum_j Nbar(r, a_j) - (q - 2) T(r, f) against the error allowance.
 
-    Passes when the slack stays above -(eps_s T(r) + c_s log(r+2) + c_s)
-    on the whole grid; for rational functions the error term is at worst
-    logarithmic, so the default allowance uses eps_s = 0.
+    Passes when the slack stays above -(c_s log(r+2) + c_s) on the whole
+    grid, with c_s = 4 (q + deg numerator + deg denominator). For rational
+    functions the error term is at worst logarithmic, so the allowance has
+    no eps_s T(r) term; ``params`` records eps_s as 0.
     """
     targets = [as_target(a) for a in targets]
     q = len(targets)
@@ -233,13 +233,11 @@ def verify_second_fundamental(
             if not ti.is_infinite and not tj.is_infinite:
                 if abs(ti.value - tj.value) <= 1e-12 * max(1.0, abs(ti.value)):
                     raise DuplicateTargets(f"targets {ti.label()} and {tj.label()} coincide")
-    cfg = cfg or DEFAULT_QUADRATURE
     rgrid = _check_grid(rgrid)
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("second-fundamental verification needs a non-constant f")
-    if c_s is None:
-        c_s = 4.0 * (q + f.numerator.degree + f.denominator.degree)
+    c_s = 4.0 * (q + f.numerator.degree + f.denominator.degree)
     pts = _grid_apoints(f, targets, rgrid, seed)
     t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     series = []
@@ -247,7 +245,7 @@ def verify_second_fundamental(
     for r, t_val in zip(rgrid, t_vals):
         nbar_sum = sum(_N_at(pts[a], r, True) for a in targets)
         series.append(nbar_sum - (q - 2) * t_val)
-        allowance.append(eps_s * t_val + c_s * math.log(r + 2.0) + c_s)
+        allowance.append(_smt_allowance(c_s, r))
     verdict = all(s >= -b for s, b in zip(series, allowance))
     return DeviationReport(
         theorem="smt",
@@ -257,7 +255,7 @@ def verify_second_fundamental(
         sup_abs=max(abs(v) for v in series),
         tail_drift=_tail_drift(series),
         verdict=bool(verdict),
-        params={"q": q, "eps_s": eps_s, "c_s": c_s},
+        params={"q": q, "eps_s": 0.0, "c_s": c_s},
         components={"allowance": tuple(allowance)},
     )
 
@@ -267,7 +265,6 @@ def claim1_chain_report(
     rgrid,
     cfg: QuadratureConfig | None = None,
     *,
-    drift_tol: float = CLAIM1_DRIFT_TOL,
     seed: int = 0,
 ) -> DeviationReport:
     """Measure every link of the restricted-shape chain on F = z^l R.
@@ -279,7 +276,6 @@ def claim1_chain_report(
     to be positive once r >= 10.
     """
     dec = claim1_shape_check(q)
-    cfg = cfg or DEFAULT_QUADRATURE
     rgrid = _check_grid(rgrid)
     m, l = dec.m, dec.l
     ratio = (m - l + 1) / m
@@ -314,10 +310,8 @@ def claim1_chain_report(
         "N_R_drift": _tail_drift(comp_r),
     }
     margin_ok = all(s > 0 for r, s in zip(rgrid, series) if r >= 10.0)
-    slack_ok = all(
-        s >= -(c_s * math.log(r + 2.0) + c_s) for r, s in zip(rgrid, comp_slack)
-    )
-    verdict = margin_ok and slack_ok and all(d <= drift_tol for d in drifts.values())
+    slack_ok = all(s >= -_smt_allowance(c_s, r) for r, s in zip(rgrid, comp_slack))
+    verdict = margin_ok and slack_ok and all(d <= CLAIM1_DRIFT_TOL for d in drifts.values())
     return DeviationReport(
         theorem="claim1",
         context={"q": str(q)},
@@ -330,7 +324,7 @@ def claim1_chain_report(
             "m": m,
             "l": l,
             "ratio": ratio,
-            "drift_tol": drift_tol,
+            "drift_tol": CLAIM1_DRIFT_TOL,
             "c_s": c_s,
             **drifts,
         },
@@ -344,13 +338,7 @@ def claim1_chain_report(
     )
 
 
-def remark_fft_check(
-    p: Polynomial,
-    rgrid,
-    *,
-    drift_tol: float = DRIFT_TOL,
-    seed: int = 0,
-) -> DeviationReport:
+def remark_fft_check(p: Polynomial, rgrid, *, seed: int = 0) -> DeviationReport:
     """N(r, 0; p) - deg(p) log r must flatten out.
 
     A zero-free polynomial would freeze N at zero while the characteristic
@@ -370,6 +358,6 @@ def remark_fft_check(
         series=tuple(series),
         sup_abs=max(abs(v) for v in series),
         tail_drift=drift,
-        verdict=bool(drift <= drift_tol),
-        params={"drift_tol": drift_tol, "degree": p.degree},
+        verdict=bool(drift <= DRIFT_TOL),
+        params={"drift_tol": DRIFT_TOL, "degree": p.degree},
     )

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import valdist.algebra
@@ -11,13 +13,16 @@ from valdist import (
     DuplicateTargets,
     LinearCoefficientNonzero,
     Polynomial,
+    QuadratureConfig,
     RationalFunction,
     TooFewTargets,
     build_profile,
+    characteristic_T,
     claim1_chain_report,
     claim1_shape_check,
     jensen_constant,
     log_rgrid,
+    reduce_common_roots,
     remark_fft_check,
     verify_degree_growth,
     verify_first_fundamental,
@@ -47,6 +52,7 @@ def test_fft_z2_minus_1_at_zero():
     rep = verify_first_fundamental(as_rf(-1, 0, 1), 0.0, GRID)
     assert rep.verdict
     assert rep.tail_drift <= 1e-3
+    assert rep.params["drift_tol"] == valdist.verify.DRIFT_TOL
     assert abs(rep.series[-1]) <= 1e-6  # Jensen constant log|f(0)| = log 1 = 0
     assert rep.sup_abs <= 0.7
 
@@ -103,6 +109,15 @@ def test_degree_verdict_boundaries(slope, rounded, passed):
     assert valdist.verify.degree_verdict(slope, 5) == (rounded, passed)
 
 
+def test_degree_growth_fits_the_characteristic():
+    p = Polynomial([1, -3, 0, 1])
+    fit = verify_degree_growth(p, GRID)
+    t_vals = [characteristic_T(RationalFunction.from_polynomial(p), r) for r in GRID]
+    tail = len(GRID) // 2
+    slope, intercept = np.polyfit(np.log(np.asarray(GRID[tail:])), np.asarray(t_vals[tail:]), 1)
+    assert (fit.slope, fit.intercept) == (float(slope), float(intercept))
+
+
 def test_degree_growth_rejects_constant_and_short_grids():
     with pytest.raises(ConstantPolynomial):
         verify_degree_growth(Polynomial([3]), GRID)
@@ -136,7 +151,10 @@ def test_smt_input_validation():
 
 def test_smt_default_allowance_scales_with_degrees():
     rep = verify_second_fundamental(as_rf(0, 0, 1), [0, 1, "inf"], GRID)
-    assert rep.params["c_s"] == 4.0 * (3 + 2 + 0)
+    c_s = 4.0 * (3 + 2 + 0)
+    assert rep.params["c_s"] == c_s
+    assert rep.params["eps_s"] == 0.0
+    assert rep.components["allowance"] == tuple(c_s * math.log(r + 2.0) + c_s for r in GRID)
 
 
 # -- one grid context for the profile and the verifiers ------------------------------------
@@ -202,6 +220,7 @@ def test_chain_cubic():
     rep = claim1_chain_report(Polynomial([-1, 0, 3, 1]), GRID)
     assert rep.verdict
     assert rep.params["ratio"] == pytest.approx(2 / 3)
+    assert rep.params["drift_tol"] == valdist.verify.CLAIM1_DRIFT_TOL
     for key in ("T_F_drift", "Nbar_zl_drift", "N_R_drift"):
         assert rep.params[key] <= 1e-2
     # margin grows like 2 log r
@@ -230,6 +249,7 @@ def test_chain_propagates_shape_errors():
 def test_remark_z2_minus_1():
     rep = remark_fft_check(Polynomial([-1, 0, 1]), GRID)
     assert rep.verdict
+    assert rep.params["drift_tol"] == valdist.verify.DRIFT_TOL
     # exact once r clears both roots: N = 2 log r
     assert abs(rep.series[-1]) <= 1e-9
 
@@ -243,6 +263,54 @@ def test_remark_identity_map():
 def test_remark_rejects_constant():
     with pytest.raises(ConstantPolynomial):
         remark_fft_check(Polynomial([5]), GRID)
+
+
+# -- fixed verdict and quadrature settings ---------------------------------------------------
+
+
+SHARED_ROOT = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-1, 1]))
+
+
+def test_quadrature_config_has_only_the_tolerance():
+    assert [fld.name for fld in dataclasses.fields(QuadratureConfig)] == ["abs_tol"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: QuadratureConfig(max_subdivisions=24), id="max_subdivisions"),
+        pytest.param(
+            lambda: QuadratureConfig(singularity_refine_band=1e-6), id="singularity_refine_band"
+        ),
+        pytest.param(
+            lambda: verify_first_fundamental(as_rf(0, 0, 1), 1.0, GRID, drift_tol=1e-3),
+            id="fft_drift_tol",
+        ),
+        pytest.param(
+            lambda: remark_fft_check(Polynomial([-1, 0, 1]), GRID, drift_tol=1e-3),
+            id="remark_drift_tol",
+        ),
+        pytest.param(
+            lambda: claim1_chain_report(Polynomial([-1, 0, 3, 1]), GRID, drift_tol=1e-2),
+            id="claim1_drift_tol",
+        ),
+        pytest.param(
+            lambda: verify_second_fundamental(as_rf(0, 0, 1), [0, 1, "inf"], GRID, eps_s=0.0),
+            id="smt_eps_s",
+        ),
+        pytest.param(
+            lambda: verify_second_fundamental(as_rf(0, 0, 1), [0, 1, "inf"], GRID, c_s=20.0),
+            id="smt_c_s",
+        ),
+        pytest.param(
+            lambda: reduce_common_roots(SHARED_ROOT, tol=1e-8), id="reduce_common_roots_tol"
+        ),
+        pytest.param(lambda: SHARED_ROOT.reduce(tol=1e-8), id="reduce_tol"),
+    ],
+)
+def test_fixed_settings_are_not_accepted(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 # -- report JSON form -------------------------------------------------------------------------

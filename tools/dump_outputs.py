@@ -2,8 +2,9 @@
 
 Writes to <out> full-precision reprs of a fixed, seeded call set run on
 valdist from <checkout>/src: the README CLI commands, profiles, verifiers,
-counting functions, localize_roots and fta_witness. A change meant to keep
-results passes when `cmp` finds the dumps of the parent and the change equal.
+counting functions, root cancellation, localize_roots and fta_witness. A
+change meant to keep results passes when `cmp` finds the dumps of the parent
+and the change equal.
 """
 
 import contextlib
@@ -23,6 +24,11 @@ FUNCTIONS = {
     "readme": vd.RationalFunction(P([-1, 0, 1]), P([-3, 1])),
     "complex": vd.RationalFunction(P([-0.5, 1 + 2j, 0, 1]), P([0.3j, 0, 1])),
     "pole0": vd.RationalFunction(P([5, 1]), P([0, 2, 1])),
+}
+# numerator and denominator share roots, so reduction has work to do
+CANCELLING = {
+    "(z2-1)/(z-1)": vd.RationalFunction(P([-1, 0, 1]), P([-1, 1])),
+    "(z2-1)(z-2)/((z-1)(z-3))": vd.RationalFunction(P([2, -1, -2, 1]), P([3, -4, 1])),
 }
 TARGETS = [0, 0.5, "inf"]
 POLYS = {
@@ -73,6 +79,9 @@ def library():
                 for fn in (vd.count_n, vd.counting_N, vd.counting_N_integral, vd.proximity_m):
                     show(f"{fn.__name__} {name} {a} {r}", lambda: fn(f, a, r))
         show(f"T {name}", lambda: [vd.characteristic_T(f, r) for r in GRID])
+    for name, f in CANCELLING.items():
+        show(f"reduce {name}", lambda: vd.reduce_common_roots(f))
+        show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID, seed=1))
     for name, p in POLYS.items():
         show(f"roots {name}", lambda: vd.localize_roots(p, vd.Box(0j, 4.0, 4.0), 1e-10, seed=5))
         show(f"witness {name}", lambda: vd.fta_witness(p, seed=5))
