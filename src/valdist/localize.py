@@ -3,7 +3,9 @@ shift-and-localize root-witness pipeline.
 
 Counting integrates p'/p (minus q'/q for poles) around region boundaries
 with the trapezoid rule, doubling resolution until the value snaps to the
-same integer at two consecutive resolutions. Localization is a quadtree
+same integer at two consecutive resolutions. The 2n-node rule contains the
+n-node rule, so each doubling evaluates only the n new nodes and adds
+their weighted sum to half the running value. Localization is a quadtree
 on boxes: a box whose subdivision line would pass through a root is
 re-split at a pseudo-randomly perturbed point, so children always tile
 their parent exactly and counts stay conserved. Once a box is small, a
@@ -146,28 +148,33 @@ def _bounding_box(region: Region) -> Box:
 # in exact dyadic arithmetic before they feed a certificate
 _RELIABLE_FACTOR = 64.0 * _EPS
 
+# Nodes that each pass of the doubling adds, keyed by node count (circle)
+# or by intervals per edge (box): the whole rule at the start, after that
+# only the odd-index nodes, which the previous rule does not contain
 _CIRCLE_CACHE: dict = {}
 _SEGMENT_CACHE: dict = {}
 
 
 def _unit_circle(n: int) -> np.ndarray:
+    """exp(2 pi i k / n) for the k the n-node circle rule adds."""
     e = _CIRCLE_CACHE.get(n)
     if e is None:
-        e = np.exp(2j * np.pi * np.arange(n) / n)
+        k = np.arange(n) if n == WINDING_START_NODES else np.arange(1, n, 2)
+        e = np.exp(2j * np.pi * k / n)
         _CIRCLE_CACHE[n] = e
     return e
 
 
-def _unit_segment(m: int):
-    cached = _SEGMENT_CACHE.get(m)
-    if cached is None:
-        t = np.linspace(0.0, 1.0, m + 1)
-        w = np.full(m + 1, 1.0 / m)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        cached = (t, w)
-        _SEGMENT_CACHE[m] = cached
-    return cached
+def _unit_segment(m: int) -> np.ndarray:
+    """Abscissae j / m in [0, 1] that the m-interval edge rule adds."""
+    t = _SEGMENT_CACHE.get(m)
+    if t is None:
+        if 4 * m == WINDING_START_NODES:
+            t = np.linspace(0.0, 1.0, m + 1)
+        else:
+            t = np.arange(1, m, 2) / m
+        _SEGMENT_CACHE[m] = t
+    return t
 
 
 def _eval_repaired(poly: Polynomial, z: np.ndarray) -> np.ndarray:
@@ -204,29 +211,26 @@ class _ContourCounter:
         self.den = den if den is not None and den.degree > 0 else None
         self.dden = self.den.derivative() if self.den is not None else None
 
-    def _sample(self, region: Region, n: int):
+    def _fresh(self, region: Region, n: int):
+        """One doubling step: the n-node rule's weighted sum of f'/f over the
+        nodes it adds to the n/2-node rule (all of them at the start), and
+        the nearest-root estimate min |p/p'| over those nodes. Returns
+        (0j, 0.0) where f'/f is not finite."""
         if isinstance(region, Disk):
             e = _unit_circle(n)
-            return region.center + region.radius * e, (region.radius / n) * e
-        x_lo, x_hi, y_lo, y_hi = region.corners
-        corners = [
-            complex(x_lo, y_lo),
-            complex(x_hi, y_lo),
-            complex(x_hi, y_hi),
-            complex(x_lo, y_hi),
-        ]
-        m = max(n // 4, 8)
-        t, w_unit = _unit_segment(m)
-        zs, ws = [], []
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            zs.append(a + (b - a) * t)
-            ws.append(((b - a) / (2j * np.pi)) * w_unit)
-        return np.concatenate(zs), np.concatenate(ws)
-
-    def once(self, region: Region, n: int):
-        """One trapezoid pass: (complex winding estimate, nearest-root estimate)."""
-        z, w = self._sample(region, n)
+            z = region.center + region.radius * e
+        else:
+            x_lo, x_hi, y_lo, y_hi = region.corners
+            corners = [
+                complex(x_lo, y_lo),
+                complex(x_hi, y_lo),
+                complex(x_hi, y_hi),
+                complex(x_lo, y_hi),
+            ]
+            edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+            m = n // 4
+            t = _unit_segment(m)
+            z = np.concatenate([a + (b - a) * t for a, b in edges])
         nv = _eval_repaired(self.num, z)
         dnv = _eval_repaired(self.dnum, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -240,21 +244,33 @@ class _ContourCounter:
                 dist = np.minimum(dist, np.abs(dv) / np.abs(ddv))
         if not np.all(np.isfinite(g.view(float))):
             return 0j, 0.0
-        value = complex(np.sum(w * g))
+        if isinstance(region, Disk):
+            value = np.sum(((region.radius / n) * e) * g)
+        else:
+            # new edge nodes are interior, weight 1/m; the start rule's
+            # edge ends carry half of it
+            g = g.reshape(4, -1)
+            sums = g.sum(axis=1)
+            if n == WINDING_START_NODES:
+                sums -= 0.5 * (g[:, 0] + g[:, -1])
+            value = sum(((b - a) / (2j * np.pi * m)) * s for (a, b), s in zip(edges, sums))
         d = np.nanmin(dist)  # nan marks nodes where the derivative vanished
-        d_est = math.inf if math.isnan(d) else float(d)
-        return value, d_est
+        return complex(value), math.inf if math.isnan(d) else float(d)
 
     def certified(self, region: Region) -> int:
+        """Certified winding number; each doubling is T_2n = T_n / 2 + (new-node sum)."""
         size = region.size
         delta = CONTOUR_BAND_REL * size
         n = WINDING_START_NODES
+        value = 0j
         prev_k = None
         prev_ok = False
         min_d = math.inf
         while n <= WINDING_MAX_NODES:
-            value, d_est = self.once(region, n)
+            fresh, d_est = self._fresh(region, n)
+            value = 0.5 * value + fresh
             min_d = min(min_d, d_est)
+            # the older nodes' estimates passed this test on earlier passes
             if d_est < delta:
                 raise ContourTooClose(
                     f"zero/pole within {d_est:.2e} of the contour (band {delta:.2e})"

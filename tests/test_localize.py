@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 import valdist.localize
 from valdist import (
     Box,
     ConstantPolynomial,
+    ContourTooClose,
     Disk,
     LocalizationFailed,
     Polynomial,
@@ -13,7 +15,9 @@ from valdist import (
     winding_count,
 )
 
-from conftest import make_rng, random_factored, random_polynomial
+from valdist.localize import WINDING_START_NODES, _ContourCounter
+
+from conftest import make_rng, random_factored, random_polynomial, random_rational
 
 
 # -- winding counts ------------------------------------------------------------
@@ -39,6 +43,78 @@ def test_winding_box_region():
 def test_winding_counts_poles_negative():
     f = RationalFunction(Polynomial([1.0]), Polynomial.from_roots([0.5, -0.5]))
     assert winding_count(f, Disk(0j, 1.0)) == -2
+
+
+# -- nested trapezoid doubling --------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", ["disk", "box"])
+@pytest.mark.parametrize("rel", [1e-5, 1e-6])
+def test_doubling_evaluates_each_node_once(monkeypatch, shape, rel):
+    # a root this close to the contour needs 2^19 nodes to certify (1e-5)
+    # or runs to the 2^20 cap and raises (1e-6)
+    if shape == "disk":
+        region, root = Disk(0j, 1.0), (1 - rel) * (0.6 + 0.8j)
+    else:
+        region, root = Box(0j, 1.0, 1.0), (1 - rel) + 0.3j
+    counter = _ContourCounter(Polynomial.from_roots([root, -0.3j]))
+    sizes = []
+    eval_many = Polynomial.eval_many
+
+    def counting(self, z):
+        if self is counter.num:
+            sizes.append(np.size(z))
+        return eval_many(self, z)
+
+    monkeypatch.setattr(Polynomial, "eval_many", counting)
+    if rel == 1e-5:
+        assert counter.certified(region) == 2
+    else:
+        with pytest.raises(ContourTooClose):
+            counter.certified(region)
+    n = WINDING_START_NODES * 2 ** (len(sizes) - 1)
+    assert n >= 2**19
+    # a box's four corners are each evaluated as the end of two edges
+    assert sum(sizes) == (n if shape == "disk" else n + 4)
+
+
+def _direct_trapezoid(f, region, n):
+    """The whole n-node rule for the winding integral of f'/f: (value, sum of |terms|)."""
+    if isinstance(region, Disk):
+        e = np.exp(2j * np.pi * np.arange(n) / n)
+        z, w = region.center + region.radius * e, (region.radius / n) * e
+    else:
+        x_lo, x_hi, y_lo, y_hi = region.corners
+        corners = [complex(x_lo, y_lo), complex(x_hi, y_lo), complex(x_hi, y_hi), complex(x_lo, y_hi)]
+        edges = list(zip(corners, corners[1:] + corners[:1]))
+        m = n // 4
+        t = np.arange(m + 1) / m
+        unit = np.where((t == 0) | (t == 1), 0.5, 1.0) / m
+        z = np.concatenate([a + (b - a) * t for a, b in edges])
+        w = np.concatenate([(b - a) / (2j * np.pi) * unit for a, b in edges])
+    num, den = f.numerator, f.denominator
+    g = num.derivative().eval_many(z) / num.eval_many(z)
+    g -= den.derivative().eval_many(z) / den.eval_many(z)
+    return complex(np.sum(w * g)), float(np.sum(np.abs(w * g)))
+
+
+def test_running_sum_matches_direct_rule():
+    rng = make_rng(43)
+    for trial in range(8):
+        f = random_rational(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        center = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if trial % 2:
+            region = Box(center, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
+        else:
+            region = Disk(center, rng.uniform(0.3, 2.0))
+        counter = _ContourCounter(f.numerator, f.denominator)
+        value, n = 0j, WINDING_START_NODES
+        while n <= 2**14:
+            fresh, _ = counter._fresh(region, n)
+            value = 0.5 * value + fresh
+            direct, scale = _direct_trapezoid(f, region, n)
+            assert abs(value - direct) <= 1e-12 * scale, (trial, n)
+            n *= 2
 
 
 # -- certified enclosures --------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Writes to <out> full-precision reprs of a fixed, seeded call set run on
 valdist from <checkout>/src: the README CLI commands, profiles, verifiers,
-counting functions, root cancellation, localize_roots and fta_witness. A
+counting functions, root cancellation, winding counts on contours that pass
+close to a root, localize_roots and fta_witness. A
 change meant to keep results passes when `cmp` finds the dumps of the parent
 and the change equal.
 """
@@ -41,6 +42,21 @@ POLYS = {
     "complex6": P([0.3 - 1j, 2j, -1.5, 0.25 + 0.5j, 1, -0.7j, 1.1]),
 }
 GRID = vd.log_rgrid(1.0, 1e4, 16)
+# (function, region) pairs whose winding count needs many doublings of the
+# trapezoid rule, or ends in ContourTooClose: a root at relative distance
+# 1e-3, 1e-5 and 1e-7 inside the unit circle or the unit box, a zero and a
+# pole each 1e-4 inside the circle, and roots exactly on the contour
+UNIT_DISK, UNIT_BOX = vd.Disk(0j, 1.0), vd.Box(0j, 1.0, 1.0)
+CONTOURS = {}
+for _rel in (1e-3, 1e-5, 1e-7):
+    CONTOURS[f"disk {_rel:g}"] = (P.from_roots([(1 - _rel) * (0.6 + 0.8j), -0.3j]), UNIT_DISK)
+    CONTOURS[f"box {_rel:g}"] = (P.from_roots([(1 - _rel) + 0.3j, 0.2 - 0.1j]), UNIT_BOX)
+CONTOURS["disk zero/pole"] = (
+    vd.RationalFunction(P.from_roots([1 - 1e-4, 0.5j]), P.from_roots([-1j * (1 - 1e-4)])),
+    UNIT_DISK,
+)
+CONTOURS["disk root on a node"] = (P.from_roots([1.0, 0.1]), UNIT_DISK)
+CONTOURS["box root on an edge"] = (P.from_roots([1 + 0.3j, 0.1]), UNIT_BOX)
 INPUTS = {
     "z2.json": [[0, 0], [0, 0], [1, 0]],
     "cubic.json": [[-1, 0], [0, 0], [3, 0], [1, 0]],
@@ -82,6 +98,8 @@ def library():
     for name, f in CANCELLING.items():
         show(f"reduce {name}", lambda: vd.reduce_common_roots(f))
         show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID, seed=1))
+    for name, (f, region) in CONTOURS.items():
+        show(f"winding {name}", lambda: vd.winding_count(f, region))
     for name, p in POLYS.items():
         show(f"roots {name}", lambda: vd.localize_roots(p, vd.Box(0j, 4.0, 4.0), 1e-10, seed=5))
         show(f"witness {name}", lambda: vd.fta_witness(p, seed=5))
