@@ -109,7 +109,10 @@ class Polynomial:
         for item in data:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ValueError(f"bad coefficient entry {item!r}")
-            coeffs.append(complex(float(item[0]), float(item[1])))
+            try:
+                coeffs.append(complex(float(item[0]), float(item[1])))
+            except TypeError:  # null, a list or an object where a number belongs
+                raise ValueError(f"bad coefficient entry {item!r}") from None
         return cls(coeffs)
 
     def to_json(self):

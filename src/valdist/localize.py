@@ -138,12 +138,6 @@ def _inflate(region: Region, factor: float) -> Region:
     return Box(region.center, region.half_re * factor, region.half_im * factor)
 
 
-def _bounding_box(region: Region) -> Box:
-    if isinstance(region, Box):
-        return region
-    return Box(region.center, region.radius, region.radius)
-
-
 # float values below this multiple of the roundoff bound are recomputed
 # in exact dyadic arithmetic before they feed a certificate
 _RELIABLE_FACTOR = 64.0 * _EPS
@@ -296,7 +290,11 @@ def winding_count(f, region: Region) -> int:
 
 
 def _newton(p: Polynomial, dp: Polynomial, z: complex, multiplicity: int = 1, iters: int = 60):
-    """Multiplicity-aware Newton refinement; returns (best z, |p(best)|, last step)."""
+    """Multiplicity-aware Newton refinement; returns (best z, |p(best)|, last step).
+
+    The best iterate is z itself unless a later iterate has a strictly
+    smaller |p|, so it is never worse than the starting point.
+    """
     best = z
     best_val = abs(p(z))
     step = math.inf
@@ -347,8 +345,17 @@ def _newton_exact(p, dp, z, multiplicity):
     return z, step
 
 
-def _endgame(counter, p, dp, box, count, tol):
-    """Polish the box's root cluster by Newton and certify a tiny disk."""
+def _endgame(counter, box, count, tol):
+    """Polish the box's root cluster by Newton and certify a tiny disk.
+
+    Returns None while the box is above the endgame gate (5% of its
+    scale for a simple root, 0.1% for a cluster) or when no disk of
+    radius <= 0.45 tol certifies.
+    """
+    gate = 0.05 if count == 1 else 1e-3
+    if box.diameter > gate * (1.0 + abs(box.center)):
+        return None
+    p, dp = counter.num, counter.dnum
     z, _, step = _newton(p, dp, box.center, multiplicity=count)
     rho_min = 1e-13 * (1.0 + abs(z))
     if step > 8.0 * rho_min:
@@ -411,7 +418,7 @@ def _shrink_start(counter, box, count):
     return box
 
 
-def _isolate(counter, p, dp, box0, count0, tol, rng):
+def _isolate(counter, box0, count0, tol, rng):
     """Quadtree descent; returns (disk, multiplicity, already_certified) triples."""
     stack = [(box0, count0)]
     finals = []
@@ -426,12 +433,10 @@ def _isolate(counter, p, dp, box0, count0, tol, rng):
         if box.diameter <= tol:
             finals.append((Disk(box.center, 0.5 * box.diameter), count, False))
             continue
-        gate = 0.05 if count == 1 else 1e-3
-        if box.diameter <= gate * (1.0 + abs(box.center)):
-            enc = _endgame(counter, p, dp, box, count, tol)
-            if enc is not None:
-                finals.append((enc.region, enc.multiplicity, True))
-                continue
+        enc = _endgame(counter, box, count, tol)
+        if enc is not None:
+            finals.append((enc.region, enc.multiplicity, True))
+            continue
         if box.diameter <= 256.0 * _EPS * max(1.0, abs(box.center)):
             raise SubdivisionDepthExceeded("box below float resolution before reaching tol")
         stack.extend(_children_counts(counter, box, count, rng))
@@ -514,15 +519,15 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
     region_eff, total = _certified_with_retries(counter, region, rng)
     if total == 0:
         return []
-    box0 = _bounding_box(region_eff)
     if isinstance(region_eff, Box):
-        box_total = total
+        box0, box_total = region_eff, total
     else:
+        box0 = Box(region_eff.center, region_eff.radius, region_eff.radius)
         box0, box_total = _certified_with_retries(counter, box0, rng)
     box0 = _shrink_start(counter, box0, box_total)
     for attempt in range(ISOLATE_ATTEMPTS):
         try:
-            finals = _isolate(counter, p, counter.dnum, box0, box_total, tol, rng)
+            finals = _isolate(counter, box0, box_total, tol, rng)
             break
         except RootOnBoundary:
             # an interior split line pinned a root through inherited edges;
@@ -579,7 +584,7 @@ def _quadratic_root(p: Polynomial) -> complex:
     return min(r1, r2, key=lambda z: (z.real, z.imag))
 
 
-def _localize_one_root(p: Polynomial, rng, bias: complex = 0j) -> complex:
+def _localize_one_root(p: Polynomial, rng, bias: complex) -> complex:
     """One certified root of p inside its Cauchy disk.
 
     Descends into the nonzero-count child nearest ``bias``; callers pick
@@ -587,7 +592,6 @@ def _localize_one_root(p: Polynomial, rng, bias: complex = 0j) -> complex:
     pipeline aims at the smallest final witness modulus).
     """
     counter = _ContourCounter(p)
-    dp = counter.dnum
     radius = _cauchy_radius(p) * (1.0 + 1e-9)
     box0, count0 = _certified_with_retries(counter, Box(0j, radius, radius), rng)
     if count0 == 0:
@@ -598,11 +602,9 @@ def _localize_one_root(p: Polynomial, rng, bias: complex = 0j) -> complex:
         box, count = box0, count0
         try:
             for _ in range(400):
-                gate = 0.05 if count == 1 else 1e-3
-                if box.diameter <= gate * (1.0 + abs(box.center)):
-                    enc = _endgame(counter, p, dp, box, count, tol=box.diameter)
-                    if enc is not None:
-                        return enc.center
+                enc = _endgame(counter, box, count, tol=box.diameter)
+                if enc is not None:
+                    return enc.center
                 if box.diameter <= 1e-11 * (1.0 + abs(box.center)):
                     return box.center  # cluster tighter than any useful tolerance
                 children = _children_counts(counter, box, count, rng)
@@ -623,9 +625,8 @@ def _witness_recurse(p: Polynomial, rng, levels: list) -> complex:
         return _quadratic_root(p)
     dp = p.derivative()
     h = _witness_recurse(dp, rng, levels)
-    h2, _, _ = _newton(dp, dp.derivative(), h)
-    if abs(dp(h2)) < abs(dp(h)):
-        h = h2  # the sharper the derivative root, the cleaner the linear kill
+    # the sharper the derivative root, the cleaner the linear kill
+    h = _newton(dp, dp.derivative(), h)[0]
     q = p.shift(h)
     qc = q.coefficients
     scale = q.coefficient_scale
@@ -646,9 +647,7 @@ def _witness_recurse(p: Polynomial, rng, levels: list) -> complex:
             base = (-b.constant / b.leading) ** (1.0 / b.degree)
             phases = [base * cmath.exp(2j * cmath.pi * k / b.degree) for k in range(b.degree)]
             root = min(phases, key=lambda r: (abs(r + h), r.real, r.imag))
-        root2, _, _ = _newton(q, q.derivative(), root, 1, 50)
-        if abs(q(root2)) < abs(q(root)):
-            root = root2
+        root = _newton(q, q.derivative(), root, 1, 50)[0]
     levels.append(WitnessLevel(shift=h, kind=kind, linear_ratio=lin_ratio, decomposition=dec))
     return root + h
 
@@ -670,9 +669,7 @@ def fta_witness(p: Polynomial, tol: float = 1e-10, *, seed: int = 0) -> WitnessT
     rng = np.random.default_rng(seed)
     levels: list[WitnessLevel] = []
     w = _witness_recurse(p, rng, levels)
-    w2, _, _ = _newton(p, p.derivative(), w)
-    if abs(p(w2)) < abs(p(w)):
-        w = w2
+    w = _newton(p, p.derivative(), w)[0]
     residual = abs(p(w))
     scale = p.coefficient_scale
     if not residual <= tol * scale:  # a nan residual fails too

@@ -37,8 +37,6 @@ BOUNDARY_GUARD_REL = 1e-12
 # roots within this relative distance of the circle |z| = r get a ladder
 # of quadrature knots around their angle
 SINGULARITY_BAND_REL = 1e-6
-# halvings the adaptive quadrature may make below each seeded interval
-MAX_SUBDIVISIONS = 24
 NUDGE_FACTOR = 1.0 + 1e-9
 # a-points closer than this (relative) are one geometric point for the
 # reduced counts; matches the cancellation tolerance of the algebra layer
@@ -208,9 +206,7 @@ def counting_N_integral(
         if mdl < r:
             off = max(1e-13 * mdl, 256.0 * np.finfo(float).eps * r)
             knots.extend([mdl - off, mdl + off])
-    integral = adaptive_simpson(
-        step_over_t, 0.0, r, abs_tol=cfg.abs_tol, max_depth=MAX_SUBDIVISIONS, knots=knots
-    )
+    integral = adaptive_simpson(step_over_t, 0.0, r, abs_tol=cfg.abs_tol, knots=knots)
     return integral + n0 * math.log(r)
 
 
@@ -265,14 +261,7 @@ def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None =
     tau = 2.0 * math.pi
     # the Simpson error estimator can be optimistic at log+ kinks, so aim
     # an order below the promised tolerance
-    integral = adaptive_simpson(
-        integrand,
-        0.0,
-        tau,
-        abs_tol=cfg.abs_tol * tau / 16.0,
-        max_depth=MAX_SUBDIVISIONS,
-        knots=knots,
-    )
+    integral = adaptive_simpson(integrand, 0.0, tau, abs_tol=cfg.abs_tol * tau / 16.0, knots=knots)
     return max(integral / tau, 0.0)
 
 

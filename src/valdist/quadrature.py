@@ -14,15 +14,18 @@ from .errors import QuadratureNotConverged
 # Intervals narrower than this (relative to their position) are accepted
 # as-is; float64 cannot resolve the integrand any further.
 _WIDTH_FLOOR = 32.0 * np.finfo(float).eps
+# halvings allowed below each seeded interval
+MAX_DEPTH = 24
 
 
-def adaptive_simpson(fn, a, b, *, abs_tol, max_depth, knots=()):
+def adaptive_simpson(fn, a, b, *, abs_tol, knots=()):
     """Integrate ``fn`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``fn`` must accept an ndarray of abscissae and return finite values.
     ``knots`` seeds the initial partition (singular angles, ladders around
     near-contour roots, ...); refinement depth is counted per interval from
-    its seeded segment, so a well-placed knot buys resolution for free.
+    its seeded segment, up to ``MAX_DEPTH`` halvings, so a well-placed knot
+    buys resolution for free.
     """
     if not b > a:
         raise ValueError("empty integration interval")
@@ -68,7 +71,7 @@ def adaptive_simpson(fn, a, b, *, abs_tol, max_depth, knots=()):
             # meets its width-proportional share (mass concentrated in a
             # few short segments); stop refining
             done[:] = True
-        capped = (~done) & (depth >= max_depth)
+        capped = (~done) & (depth >= MAX_DEPTH)
         accept = done | capped
         total += float(np.sum(s2[accept] + (s2[accept] - simpson[accept]) / 15.0))
         leftover += float(np.sum(err[capped]))
@@ -86,6 +89,6 @@ def adaptive_simpson(fn, a, b, *, abs_tol, max_depth, knots=()):
 
     if leftover > abs_tol:
         raise QuadratureNotConverged(
-            f"estimate still moving by {leftover:.3e} after {max_depth} subdivisions"
+            f"estimate still moving by {leftover:.3e} after {MAX_DEPTH} subdivisions"
         )
     return total

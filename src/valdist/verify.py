@@ -32,6 +32,7 @@ from .nevanlinna import (
     _N_at,
     _reduced,
     _t_series,
+    _target_poly,
     proximity_m,
 )
 
@@ -119,10 +120,7 @@ def jensen_constant(f: RationalFunction, a) -> float:
     if a.is_infinite:
         raise ValueError("the Jensen constant is defined for finite targets")
     f = _reduced(f)
-    g = f.numerator - a.value * f.denominator
-    if g.is_zero:
-        raise ValueError("function is identically equal to the target")
-    _, cn = _lowest_nonzero(g)
+    _, cn = _lowest_nonzero(_target_poly(f, a))
     _, cd = _lowest_nonzero(f.denominator)
     return math.log(abs(cn / cd))
 

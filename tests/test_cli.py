@@ -230,3 +230,30 @@ def test_unread_or_missing_flag_is_usage_error(argv, capsys):
         main(argv.split())
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+# a coefficient that is null, a list or an object is an input error; a
+# string keeps float()'s own message
+BAD_ENTRIES = {
+    "null": ([None, 0], "bad coefficient entry [None, 0]"),
+    "list": ([[2], 0], "bad coefficient entry [[2], 0]"),
+    "object": ([{"re": 1}, 0], "bad coefficient entry [{'re': 1}, 0]"),
+    "string": (["x", 0], "could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("entry, message", list(BAD_ENTRIES.values()), ids=list(BAD_ENTRIES))
+def test_non_numeric_coefficient_in_poly_file(tmp_path, capsys, entry, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([entry, [1, 0]]))
+    assert main(["verify", "remark", "--poly", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bad polynomial file {path}: {message}\n"
+
+
+@pytest.mark.parametrize("entry, message", list(BAD_ENTRIES.values()), ids=list(BAD_ENTRIES))
+def test_non_numeric_coefficient_in_function_file(tmp_path, capsys, entry, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"numerator": [[1, 0], [1, 0]], "denominator": [entry, [1, 0]]}))
+    argv = ["profile", "--function", str(path), "--a", "0", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad function file {path}: {message}\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from valdist import (
     winding_count,
 )
 
-from valdist.localize import WINDING_START_NODES, _ContourCounter
+from valdist.localize import WINDING_START_NODES, _ContourCounter, _endgame, _newton
 
 from conftest import make_rng, random_factored, random_polynomial, random_rational
 
@@ -194,6 +196,41 @@ def test_subdivision_soundness_random_corpus():
         region = Box(0j, 2.5, 2.5)
         encs = localize_roots(p, region, 1e-9)
         assert sum(e.multiplicity for e in encs) == winding_count(p, region)
+
+
+# -- Newton and the endgame gate -----------------------------------------------
+
+
+def test_newton_never_returns_a_worse_point():
+    rng = make_rng(43)
+    for trial in range(40):
+        deg = int(rng.integers(2, 9))
+        if trial % 2:
+            p, roots = random_factored(rng, deg)
+            starts = [z + complex(*rng.uniform(-1e-3, 1e-3, 2)) for z, _ in roots]
+        else:
+            p, starts = random_polynomial(rng, deg), []
+        starts += [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(4)]
+        dp = p.derivative()
+        for z0 in starts:
+            best, best_val, _ = _newton(p, dp, z0, multiplicity=int(rng.integers(1, 4)))
+            assert best == z0 or abs(p(best)) < abs(p(z0))
+            assert best_val == abs(p(best))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_endgame_declines_a_box_above_its_gate(count):
+    # off the box centre, so Newton has work to do; dyadic, so the double
+    # root survives Polynomial.from_roots exactly
+    root = 0.5 + 2.0**-12 * 1j
+    counter = _ContourCounter(Polynomial.from_roots([root] * count + [-0.5j]))
+    gate = (0.05 if count == 1 else 1e-3) * 1.5  # |centre| = 0.5
+    for factor, certifies in ((1.01, False), (0.99, True)):
+        half = factor * gate / (2.0 * math.sqrt(2.0))
+        enc = _endgame(counter, Box(0.5 + 0j, half, half), count, tol=1.0)
+        assert (enc is not None) == certifies
+        if certifies:
+            assert enc.multiplicity == count and abs(enc.center - root) <= enc.radius
 
 
 # -- witness pipeline -------------------------------------------------------------

@@ -11,6 +11,7 @@ from valdist import (
     ConstantPolynomial,
     DegreeTooSmall,
     DuplicateTargets,
+    FunctionIdenticallyA,
     LinearCoefficientNonzero,
     Polynomial,
     QuadratureConfig,
@@ -83,6 +84,13 @@ def test_jensen_constant_laurent_form():
     # pole at the origin: c is the ratio of the lowest coefficients
     g = RationalFunction(Polynomial([5]), Polynomial([0, 2]))
     assert abs(jensen_constant(g, 1.0) - math.log(5 / 2)) <= 1e-12
+
+
+def test_jensen_constant_of_function_identically_a():
+    with pytest.raises(FunctionIdenticallyA):
+        jensen_constant(as_rf(2), 2.0)
+    with pytest.raises(FunctionIdenticallyA):
+        jensen_constant(RationalFunction(Polynomial([0, 3]), Polynomial([0, 1])), 3.0)
 
 
 # -- degree growth ------------------------------------------------------------------

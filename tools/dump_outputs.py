@@ -3,9 +3,10 @@
 Writes to <out> full-precision reprs of a fixed, seeded call set run on
 valdist from <checkout>/src: the README CLI commands, profiles, verifiers,
 counting functions, root cancellation, winding counts on contours that pass
-close to a root, localize_roots and fta_witness. A
-change meant to keep results passes when `cmp` finds the dumps of the parent
-and the change equal.
+close to a root, localize_roots and fta_witness, the latter two also on
+integer polynomials of the benchmark's roots workload. A change meant to
+keep results passes when `cmp` finds the dumps of the parent and the change
+equal.
 """
 
 import contextlib
@@ -57,6 +58,20 @@ CONTOURS["disk zero/pole"] = (
 )
 CONTOURS["disk root on a node"] = (P.from_roots([1.0, 0.1]), UNIT_DISK)
 CONTOURS["box root on an edge"] = (P.from_roots([1 + 0.3j, 0.1]), UNIT_BOX)
+# the int_real and int_multi items among items 0-11 of the benchmark's roots
+# stream at seed 1: real roots on the split line y = 0 and multiple roots
+# reach the exact-arithmetic Newton step, the single-branch walk's stop
+# rule and its restarts; #1 and #10 end in RootOnBoundary
+ROOTS_WORKLOAD = {
+    0: [-3, -6, 6, -9, 3, 4, -9, 5, -1, -2],
+    1: [0, 0, -1024, 2304, -1408, -32, 188, -23, -6, 1],
+    3: [0, -6, 1, 7, 4, 7, -3, 0, 0, 9, 6, 7],
+    4: [256, -448, -464, 1244, -128, -1045, 608, 151, -256, 97, -16, 1],
+    6: [7, 2, 9, 2, 5, -1, 8, -9, 3, 7, -5, 7, 8],
+    7: [0, 0, -432, 216, 1125, -704, -856, 744, 66, -240, 96, -16, 1],
+    9: [-4, -4, -1, 7, -4, -1, 0, 5, 1, 6, 6],
+    10: [108, 108, -261, -266, 198, 214, -44, -62, -2, 6, 1],
+}
 INPUTS = {
     "z2.json": [[0, 0], [0, 0], [1, 0]],
     "cubic.json": [[-1, 0], [0, 0], [3, 0], [1, 0]],
@@ -105,6 +120,11 @@ def library():
         show(f"witness {name}", lambda: vd.fta_witness(p, seed=5))
         for fn in (vd.verify_degree_growth, vd.claim1_chain_report, vd.remark_fft_check):
             show(f"{fn.__name__} {name}", lambda: fn(p, GRID))
+    for index, coeffs in ROOTS_WORKLOAD.items():
+        p = P(coeffs)
+        radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+        show(f"roots workload {index}", lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), 1e-10))
+        show(f"witness workload {index}", lambda: vd.fta_witness(p, 1e-10))
 
 
 def command_line():
