@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -229,52 +230,53 @@ def _singularity_knots(r: float, roots):
     return knots
 
 
+def _log_plus(gn: Polynomial, gd: Polynomial, r: float, theta, tries: int = 0):
+    """log+ |gn / gd| at r e^(i theta), the angles shifted by tries * 3e-13.
+
+    A sample on a log pole (an a-point on a sample angle) is retried one
+    step further off its original angle, at most four times.
+    """
+    z = r * np.exp(1j * (theta + tries * 3e-13 if tries else theta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.maximum(np.log(np.abs(gn.eval_many(z))) - np.log(np.abs(gd.eval_many(z))), 0.0)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        if tries == 4:
+            raise QuadratureNotConverged("integrand not finite on the circle")
+        v[bad] = _log_plus(gn, gd, r, theta[bad], tries + 1)
+    return v
+
+
+def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
+    """m(r, a) at each radius; g and the root hints that place its knots are built once."""
+    cfg = cfg or DEFAULT_QUADRATURE
+    f = _reduced(f)
+    gn, gd = (f.numerator, f.denominator) if a.is_infinite else (f.denominator, _target_poly(f, a))
+    hints = _roots_hint(gd) + _roots_hint(gn)
+    tau = 2.0 * math.pi
+    # the Simpson error estimator can be optimistic at log+ kinks, so aim
+    # an order below the promised tolerance
+    tol = cfg.abs_tol * tau / 16.0
+    out = []
+    for r in radii:
+        integrand = partial(_log_plus, gn, gd, r)
+        knots = _singularity_knots(r, hints)
+        integral = adaptive_simpson(integrand, 0.0, tau, abs_tol=tol, knots=knots)
+        out.append(max(integral / tau, 0.0))
+    return out
+
+
 def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Mean of log+ |g| on the circle |z| = r, g = f (a = inf) or 1/(f - a)."""
     a = as_target(a)
     if not r > 0:
         raise ValueError("r must be positive")
-    cfg = cfg or DEFAULT_QUADRATURE
-    f = _reduced(f)
-    if a.is_infinite:
-        gn, gd = f.numerator, f.denominator
-    else:
-        gd = _target_poly(f, a)
-        gn = f.denominator
-    hints = _roots_hint(gd) + _roots_hint(gn)
-    knots = _singularity_knots(r, hints)
-
-    def integrand(theta):
-        theta = np.asarray(theta, dtype=float)
-        v = _log_plus(gn, gd, r, theta)
-        bad = ~np.isfinite(v)
-        tries = 0
-        while np.any(bad):
-            # a-point exactly on a sample: nudge the angle off the log pole
-            tries += 1
-            if tries > 4:
-                raise QuadratureNotConverged("integrand not finite on the circle")
-            v[bad] = _log_plus(gn, gd, r, theta[bad] + tries * 3e-13)
-            bad = ~np.isfinite(v)
-        return v
-
-    tau = 2.0 * math.pi
-    # the Simpson error estimator can be optimistic at log+ kinks, so aim
-    # an order below the promised tolerance
-    integral = adaptive_simpson(integrand, 0.0, tau, abs_tol=cfg.abs_tol * tau / 16.0, knots=knots)
-    return max(integral / tau, 0.0)
-
-
-def _log_plus(gn: Polynomial, gd: Polynomial, r: float, theta):
-    z = r * np.exp(1j * np.asarray(theta, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.log(np.abs(gn.eval_many(z))) - np.log(np.abs(gd.eval_many(z)))
-    return np.maximum(v, 0.0)
+    return _m_series(f, a, [r], cfg)[0]
 
 
 def _t_series(f: RationalFunction, radii, cfg, pts_inf) -> list:
     """T(r) = m(r, inf) + N(r, inf) at each radius, from the enumerated poles."""
-    return [proximity_m(f, INFINITY, r, cfg) + _N_at(pts_inf, r, False) for r in radii]
+    return [m + _N_at(pts_inf, r, False) for r, m in zip(radii, _m_series(f, INFINITY, radii, cfg))]
 
 
 def characteristic_T(
@@ -353,7 +355,7 @@ def build_profile(
 
     used_r = []
     nudges = []
-    for r_req in rgrid:
+    for r_req, r_next in zip(rgrid, rgrid[1:] + [math.inf]):
         r = r_req
         for _ in range(200):
             if not any(_guard_hit(cache[a], r) for a in cache):
@@ -361,6 +363,8 @@ def build_profile(
             r *= NUDGE_FACTOR
         else:
             raise BoundaryCoincidence(f"could not nudge r = {r_req:g} clear of a-points")
+        if r >= r_next:
+            raise BoundaryCoincidence(f"nudged r = {r_req!r} reaches the next radius {r_next!r}")
         if r != r_req:
             nudges.append((r_req, r))
         used_r.append(r)
@@ -370,22 +374,21 @@ def build_profile(
     profiles = []
     for a in targets:
         pts = cache[a]
-        rows = []
-        for r, t_val in zip(used_r, t_values):
-            if a.is_infinite:
-                m_val = t_val - _N_at(pts, r, False)
-            else:
-                m_val = proximity_m(f, a, r, cfg)
-            rows.append(
-                ProfileRow(
-                    r=r,
-                    n=_count_at(pts, r, False),
-                    nbar=_count_at(pts, r, True),
-                    N=_N_at(pts, r, False),
-                    Nbar=_N_at(pts, r, True),
-                    m=m_val,
-                    T=t_val,
-                )
+        if a.is_infinite:
+            m_values = [t_val - _N_at(pts, r, False) for r, t_val in zip(used_r, t_values)]
+        else:
+            m_values = _m_series(f, a, used_r, cfg)
+        rows = [
+            ProfileRow(
+                r=r,
+                n=_count_at(pts, r, False),
+                nbar=_count_at(pts, r, True),
+                N=_N_at(pts, r, False),
+                Nbar=_N_at(pts, r, True),
+                m=m_val,
+                T=t_val,
             )
+            for r, t_val, m_val in zip(used_r, t_values, m_values)
+        ]
         profiles.append(NevanlinnaProfile(target=a, rows=tuple(rows), nudges=tuple(nudges)))
     return profiles

@@ -29,11 +29,11 @@ from .errors import ConstantFunction, ConstantPolynomial, DuplicateTargets, TooF
 from .nevanlinna import (
     QuadratureConfig,
     _grid_apoints,
+    _m_series,
     _N_at,
     _reduced,
     _t_series,
     _target_poly,
-    proximity_m,
 )
 
 DRIFT_TOL = 1e-3
@@ -148,9 +148,8 @@ def verify_first_fundamental(
         raise ConstantFunction("first-fundamental verification needs a non-constant f")
     pts = _grid_apoints(f, [a], rgrid, seed)
     t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
-    series = []
-    for r, t_val in zip(rgrid, t_vals):
-        series.append(proximity_m(f, a, r, cfg) + _N_at(pts[a], r, False) - t_val)
+    m_vals = _m_series(f, a, rgrid, cfg)
+    series = [m + _N_at(pts[a], r, False) - t for r, m, t in zip(rgrid, m_vals, t_vals)]
     sup_abs = max(abs(v) for v in series)
     drift = _tail_drift(series)
     analytic = jensen_constant(f, a)

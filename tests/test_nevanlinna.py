@@ -10,6 +10,7 @@ from valdist import (
     FunctionIdenticallyA,
     Polynomial,
     QuadratureConfig,
+    QuadratureNotConverged,
     RationalFunction,
     build_profile,
     characteristic_T,
@@ -144,6 +145,12 @@ def test_proximity_nonnegative_near_singular_circle():
     assert math.isfinite(val) and val >= 0.0
 
 
+def test_proximity_gives_up_when_integrand_overflows():
+    # |z^2 - 1| overflows on the whole circle, so no nudge makes log+ finite
+    with np.errstate(over="ignore"), pytest.raises(QuadratureNotConverged, match="not finite"):
+        proximity_m(Z2_MINUS_1, "inf", 1e200)
+
+
 # -- characteristic ---------------------------------------------------------------------
 
 
@@ -208,6 +215,12 @@ def test_profile_nudges_boundary_radius():
     nudged = prof.nudges[0][1]
     assert 1.0 < nudged < 1.00001
     assert [row.r for row in prof.rows] == [0.5, nudged, 2.0]
+
+
+def test_profile_nudge_never_overtakes_next_radius():
+    # r = 1 is nudged past 1 + 1e-10, which would put the rows out of order
+    with pytest.raises(BoundaryCoincidence, match=r"1\.0 .* 1\.0000000001"):
+        build_profile(Z2_MINUS_1, ["0"], [1.0, 1.0 + 1e-10, 2.0])
 
 
 def test_profile_T_column_copied_to_finite_targets():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import valdist.algebra
+import valdist.nevanlinna
 import valdist.verify
 from valdist import (
     BinomialShape,
@@ -23,6 +24,7 @@ from valdist import (
     claim1_shape_check,
     jensen_constant,
     log_rgrid,
+    proximity_m,
     reduce_common_roots,
     remark_fft_check,
     verify_degree_growth,
@@ -126,6 +128,20 @@ def test_degree_growth_fits_the_characteristic():
     assert (fit.slope, fit.intercept) == (float(slope), float(intercept))
 
 
+def test_degree_growth_solves_root_hints_once(monkeypatch):
+    calls = []
+    hint = valdist.nevanlinna._roots_hint
+
+    def counted(p):
+        calls.append(p)
+        return hint(p)
+
+    monkeypatch.setattr(valdist.nevanlinna, "_roots_hint", counted)
+    verify_degree_growth(Polynomial([1, -3, 0, 1]), GRID)
+    # one m(r, inf) series over 32 radii: numerator and denominator once each
+    assert len(GRID) == 32 and len(calls) == 2
+
+
 def test_degree_growth_rejects_constant_and_short_grids():
     with pytest.raises(ConstantPolynomial):
         verify_degree_growth(Polynomial([3]), GRID)
@@ -174,6 +190,8 @@ def test_grid_consumers_agree_bit_for_bit():
     grid = log_rgrid(1.5, 1e4, 16)
     profiles = build_profile(f, targets, grid)
     assert all(not prof.nudges for prof in profiles)
+    for a, prof in zip(targets[:2], profiles):
+        assert [row.m for row in prof.rows] == [proximity_m(f, a, row.r) for row in prof.rows]
     fft = verify_first_fundamental(f, 0.5, grid)
     assert list(fft.series) == [row.m + row.N - row.T for row in profiles[1].rows]
     smt = verify_second_fundamental(f, targets, grid)

@@ -2,11 +2,11 @@
 
 Writes to <out> full-precision reprs of a fixed, seeded call set run on
 valdist from <checkout>/src: the README CLI commands, profiles, verifiers,
-counting functions, root cancellation, winding counts on contours that pass
-close to a root, localize_roots and fta_witness, the latter two also on
-integer polynomials of the benchmark's roots workload. A change meant to
-keep results passes when `cmp` finds the dumps of the parent and the change
-equal.
+counting functions, the proximity integrand's nudge and give-up paths, root
+cancellation, winding counts on contours that pass close to a root,
+localize_roots and fta_witness, the latter two also on integer polynomials
+of the benchmark's roots workload. A change meant to keep results passes
+when `cmp` finds the dumps of the parent and the change equal.
 """
 
 import contextlib
@@ -113,6 +113,13 @@ def library():
     for name, f in CANCELLING.items():
         show(f"reduce {name}", lambda: vd.reduce_common_roots(f))
         show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID, seed=1))
+    # edge paths of the proximity integrand: the a-points +-1 sit on sample
+    # angles (nudged samples), |g| overflows on the whole circle at r = 1e200
+    # (the nudges give up), and a profile whose grid radius 1 is nudged
+    z2 = vd.RationalFunction(P([-1, 0, 1]))
+    show("proximity_m z2-1 0 1.0", lambda: vd.proximity_m(z2, 0, 1.0))
+    show("proximity_m z2-1 inf 1e200", lambda: vd.proximity_m(z2, "inf", 1e200))
+    show("profile z2-1 nudged", lambda: vd.build_profile(z2, [0, "inf"], [0.5, 1.0, 2.0]))
     for name, (f, region) in CONTOURS.items():
         show(f"winding {name}", lambda: vd.winding_count(f, region))
     for name, p in POLYS.items():
