@@ -27,6 +27,7 @@ from .errors import (
 from .localize import fta_witness
 from .nevanlinna import QuadratureConfig, build_profile
 from .verify import (
+    _check_grid,
     claim1_chain_report,
     degree_verdict,
     log_rgrid,
@@ -51,7 +52,6 @@ _INPUT_ERRORS = (
     IdenticallyZeroDenominator,
     LinearCoefficientNonzero,
     TooFewTargets,
-    ValueError,
 )
 
 
@@ -91,15 +91,13 @@ def _parse_targets(spec: str):
     items = [s for s in (spec or "").split(",") if s.strip()]
     if not items:
         raise _UsageError("no target values given (use --a, e.g. '0,1,inf')")
-    try:
-        return [parse_complex_literal(s) for s in items]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return _checked(lambda: [parse_complex_literal(s) for s in items])
 
 
-def _grid(args):
+def _checked(check, *args, **kwargs):
+    """check(...), with the ValueError of a library input check as a usage error."""
     try:
-        return log_rgrid(args.rmin, args.rmax, args.points)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -129,8 +127,8 @@ def _profile_csv(profile) -> str:
 def _cmd_profile(args) -> int:
     f = _load_function(args.function)
     targets = _parse_targets(args.a)
-    rgrid = _grid(args)
-    cfg = QuadratureConfig(abs_tol=args.tol)
+    rgrid = _checked(log_rgrid, args.rmin, args.rmax, args.points)
+    cfg = _checked(QuadratureConfig, args.tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     profiles = build_profile(f, targets, rgrid, cfg, seed=args.seed)
@@ -142,24 +140,24 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rgrid = _grid(args)
+    rgrid = _checked(log_rgrid, args.rmin, args.rmax, args.points)
     name = args.theorem
     if name == "fft":
-        cfg = QuadratureConfig(abs_tol=args.tol)
+        cfg = _checked(QuadratureConfig, args.tol)
         targets = _parse_targets(args.a)
         if len(targets) != 1 or targets[0].is_infinite:
             raise _UsageError("verify fft needs exactly one finite target in --a")
         f = _load_function(args.function)
         report = verify_first_fundamental(f, targets[0], rgrid, cfg, seed=args.seed)
     elif name == "smt":
-        cfg = QuadratureConfig(abs_tol=args.tol)
+        cfg = _checked(QuadratureConfig, args.tol)
         targets = _parse_targets(args.a)
         f = _load_function(args.function)
         report = verify_second_fundamental(f, targets, rgrid, cfg, seed=args.seed)
     elif name == "degree":
-        cfg = QuadratureConfig(abs_tol=args.tol)
+        cfg = _checked(QuadratureConfig, args.tol)
         p = _load_polynomial(args.poly)
-        fit = verify_degree_growth(p, rgrid, cfg)
+        fit = verify_degree_growth(p, _checked(_check_grid, rgrid, two_decades=True), cfg)
         rounded, verdict = degree_verdict(fit.slope, p.degree)
         _emit_json(
             {
@@ -176,7 +174,7 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_OK if verdict else EXIT_FAIL
     elif name == "claim1":
-        cfg = QuadratureConfig(abs_tol=args.tol)
+        cfg = _checked(QuadratureConfig, args.tol)
         report = claim1_chain_report(_load_polynomial(args.poly), rgrid, cfg, seed=args.seed)
     else:  # remark reads no quadrature tolerance
         report = remark_fft_check(_load_polynomial(args.poly), rgrid, seed=args.seed)
@@ -190,6 +188,8 @@ def _pair(z: complex) -> list:
 
 def _cmd_fta_witness(args) -> int:
     p = _load_polynomial(args.poly)
+    if not args.tol > 0:
+        raise _UsageError("tol must be positive")
     trace = fta_witness(p, args.tol, seed=args.seed)
     levels = []
     for lv in trace.claim1_checks:
@@ -268,6 +268,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's seed rule; verify degree has no --seed
+            raise _UsageError("expected non-negative integer")
         return args.func(args)
     except (_UsageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ on boxes: a box whose subdivision line would pass through a root is
 re-split at a pseudo-randomly perturbed point, so children always tile
 their parent exactly and counts stay conserved. Once a box is small, a
 Newton endgame polishes the root and certifies a tiny disk around it by
-an independent winding count.
+an independent winding count. Uncertified companion-matrix root hints only
+place the first split and the start box; winding counts stay the certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, TargetValue, claim1_shape_check
+from .algebra import Polynomial, RationalFunction, TargetValue, _roots_hint, claim1_shape_check
 from .errors import (
     BinomialShape,
     ConstantPolynomial,
@@ -43,6 +44,8 @@ MAX_BOXES = 50000
 ISOLATE_ATTEMPTS = 4
 # exact-arithmetic Newton steps tried below the float roundoff halo
 NEWTON_EXACT_ITERS = 8
+# a root hint this close to a line, relative to the box, puts a root on it
+HINT_REL = 1e-4
 _EPS = float(np.finfo(float).eps)
 
 
@@ -378,11 +381,23 @@ def _endgame(counter, box, count, tol):
     return None
 
 
-def _children_counts(counter, box, count, rng):
+def _hint_near(hints, box, xs, ys) -> bool:
+    """A hint in the padded box near a line x = xs[i] or y = ys[j]; never a nan."""
+    tx, ty = HINT_REL * box.half_re, HINT_REL * box.half_im
+    return any(
+        box.contains(h, pad=HINT_REL * box.size)
+        and (any(abs(h.real - x) <= tx for x in xs) or any(abs(h.imag - y) <= ty for y in ys))
+        for h in hints
+    )
+
+
+def _children_counts(counter, box, count, rng, hints):
     """Split into four tiles whose certified counts sum to the parent's."""
     cx, cy = box.center.real, box.center.imag
-    for attempt in range(8):
-        if attempt == 0:
+    # a hint on a centre line moves the centre split behind the random ones
+    first = 1 if _hint_near(hints, box, (cx,), (cy,)) else 0
+    for attempt in range(first, first + 8):
+        if attempt % 8 == 0:
             sx, sy = cx, cy
         else:
             sx = cx + float(rng.uniform(-0.2, 0.2)) * box.half_re
@@ -397,7 +412,7 @@ def _children_counts(counter, box, count, rng):
     raise RootOnBoundary("could not place subdivision lines clear of the roots")
 
 
-def _shrink_start(counter, box, count):
+def _shrink_start(counter, box, count, hints):
     """Halve the starting box toward its roots while the count is unchanged.
 
     Cauchy bounds can overshoot the actual root spread by orders of
@@ -409,6 +424,8 @@ def _shrink_start(counter, box, count):
         if box.diameter <= 8.0 * (1.0 + abs(box.center)) * _EPS:
             break
         candidate = Box(box.center, box.half_re / 2.0, box.half_im / 2.0)
+        if _hint_near(hints, candidate, candidate.corners[:2], candidate.corners[2:]):
+            break  # its contour would run the whole doubling ladder and fail
         try:
             if counter.certified(candidate) != count:
                 break
@@ -418,7 +435,7 @@ def _shrink_start(counter, box, count):
     return box
 
 
-def _isolate(counter, box0, count0, tol, rng):
+def _isolate(counter, box0, count0, tol, rng, hints):
     """Quadtree descent; returns (disk, multiplicity, already_certified) triples."""
     stack = [(box0, count0)]
     finals = []
@@ -439,7 +456,7 @@ def _isolate(counter, box0, count0, tol, rng):
             continue
         if box.diameter <= 256.0 * _EPS * max(1.0, abs(box.center)):
             raise SubdivisionDepthExceeded("box below float resolution before reaching tol")
-        stack.extend(_children_counts(counter, box, count, rng))
+        stack.extend(_children_counts(counter, box, count, rng, hints))
     return finals
 
 
@@ -524,10 +541,11 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
     else:
         box0 = Box(region_eff.center, region_eff.radius, region_eff.radius)
         box0, box_total = _certified_with_retries(counter, box0, rng)
-    box0 = _shrink_start(counter, box0, box_total)
+    hints = _roots_hint(p)
+    box0 = _shrink_start(counter, box0, box_total, hints)
     for attempt in range(ISOLATE_ATTEMPTS):
         try:
-            finals = _isolate(counter, box0, box_total, tol, rng)
+            finals = _isolate(counter, box0, box_total, tol, rng, hints)
             break
         except RootOnBoundary:
             # an interior split line pinned a root through inherited edges;
@@ -596,7 +614,8 @@ def _localize_one_root(p: Polynomial, rng, bias: complex) -> complex:
     box0, count0 = _certified_with_retries(counter, Box(0j, radius, radius), rng)
     if count0 == 0:
         raise LocalizationFailed("no roots inside the Cauchy bound")
-    box0 = _shrink_start(counter, box0, count0)
+    # no hints: screened splits would change which root the bias picks
+    box0 = _shrink_start(counter, box0, count0, ())
     last = None
     for _ in range(3):
         box, count = box0, count0
@@ -607,7 +626,7 @@ def _localize_one_root(p: Polynomial, rng, bias: complex) -> complex:
                     return enc.center
                 if box.diameter <= 1e-11 * (1.0 + abs(box.center)):
                     return box.center  # cluster tighter than any useful tolerance
-                children = _children_counts(counter, box, count, rng)
+                children = _children_counts(counter, box, count, rng, ())
                 children = [bc for bc in children if bc[1] > 0]
                 box, count = min(children, key=lambda bc: abs(bc[0].center - bias))
             raise SubdivisionDepthExceeded("single-root descent did not terminate")

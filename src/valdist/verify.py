@@ -46,7 +46,7 @@ def log_rgrid(rmin: float = 1.0, rmax: float = 1e4, points: int = 32):
     """Logarithmically spaced radii, the default grid of every verifier."""
     if not (rmin > 0 and rmax > rmin and points >= 2):
         raise ValueError("need rmin > 0, rmax > rmin, points >= 2")
-    return [float(r) for r in np.geomspace(rmin, rmax, points)]
+    return _check_grid(np.geomspace(rmin, rmax, points))
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,14 @@ class DeviationReport:
         return out
 
 
-def _check_grid(rgrid):
+def _check_grid(rgrid, two_decades: bool = False):
     rgrid = [float(r) for r in rgrid]
     if len(rgrid) < 2:
         raise ValueError("rgrid needs at least two points")
-    return nevanlinna._check_grid(rgrid)
+    rgrid = nevanlinna._check_grid(rgrid)
+    if two_decades and rgrid[-1] / rgrid[0] < 99.99:
+        raise ValueError("rgrid must span at least two decades")
+    return rgrid
 
 
 def _grid_zeros(p: Polynomial, rgrid, seed: int):
@@ -184,9 +187,7 @@ def verify_degree_growth(p: Polynomial, rgrid, cfg: QuadratureConfig | None = No
     """
     if p.degree == 0:
         raise ConstantPolynomial("degree growth needs a non-constant polynomial")
-    rgrid = _check_grid(rgrid)
-    if rgrid[-1] / rgrid[0] < 99.99:
-        raise ValueError("rgrid must span at least two decades")
+    rgrid = _check_grid(rgrid, two_decades=True)
     # a polynomial has no poles, so T(r) is m(r, inf)
     t_vals = _t_series(RationalFunction.from_polynomial(p), rgrid, cfg, [])
     tail = len(rgrid) // 2

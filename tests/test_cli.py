@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from valdist.cli import build_parser, main
@@ -257,3 +258,41 @@ def test_non_numeric_coefficient_in_function_file(tmp_path, capsys, entry, messa
     argv = ["profile", "--function", str(path), "--a", "0", "--out", str(tmp_path / "x")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: bad function file {path}: {message}\n"
+
+
+# a bad --tol, --seed or grid is an input error with the input check's own
+# message; a ValueError raised inside a computation is not
+INPUT_CHECKS = {
+    "tol": ("verify fft --function {f} --a 1 --tol 0", "abs_tol must be positive"),
+    "witness tol": ("fta-witness --poly {p} --tol -1", "tol must be positive"),
+    "seed": ("profile --function {f} --a 0 --seed -1 --out {out}", "expected non-negative integer"),
+    "span": ("verify degree --poly {p} --rmax 10", "rgrid must span at least two decades"),
+    "grid": ("verify remark --poly {p} --rmax inf", "rgrid must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(INPUT_CHECKS.values()), ids=list(INPUT_CHECKS))
+def test_input_check_is_usage_error(tmp_path, capsys, square_file, argv, message):
+    argv = argv.format(f=square_file, p=square_file, out=tmp_path / "x").split()
+    with np.errstate(invalid="ignore"):  # the infinite grid radius
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+LIBRARY_CALLS = {
+    "build_profile": "profile --function {f} --a 0 --out {out}",
+    "verify_first_fundamental": "verify fft --function {f} --a 1",
+    "verify_degree_growth": "verify degree --poly {p}",
+    "fta_witness": "fta-witness --poly {p}",
+}
+
+
+@pytest.mark.parametrize("name, argv", list(LIBRARY_CALLS.items()), ids=list(LIBRARY_CALLS))
+def test_internal_value_error_is_not_an_input_error(monkeypatch, tmp_path, square_file, name, argv):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(f"valdist.cli.{name}", broken)
+    argv = argv.format(f=square_file, p=square_file, out=tmp_path / "x").split()
+    with pytest.raises(ValueError, match="internal"):
+        main(argv)

@@ -17,7 +17,12 @@ from valdist import (
     winding_count,
 )
 
-from valdist.localize import WINDING_START_NODES, _ContourCounter, _endgame, _newton
+from valdist.localize import (
+    WINDING_START_NODES,
+    _ContourCounter,
+    _endgame,
+    _newton,
+)
 
 from conftest import make_rng, random_factored, random_polynomial, random_rational
 
@@ -196,6 +201,79 @@ def test_subdivision_soundness_random_corpus():
         region = Box(0j, 2.5, 2.5)
         encs = localize_roots(p, region, 1e-9)
         assert sum(e.multiplicity for e in encs) == winding_count(p, region)
+
+
+# -- root hints place the splits --------------------------------------------------
+
+
+def _cauchy_box(p):
+    radius = 1.0 + max(abs(c) for c in p.coefficients[:-1]) / abs(p.leading)
+    return Box(0j, radius, radius)
+
+
+# a contour through a root that no node hits runs the doubling ladder to
+# batches of 2^19 nodes before it fails
+HINTED_CASES = {
+    # every root is on the centre line y = 0 of the Cauchy box
+    "centre split": ([-4, -2, 1, 3], None),
+    # 2 + 0.3i is on the edge x = 2 of the first shrink candidate Box(0, 2, 2)
+    "start box": ([-1 + 1.3j, 0.7 - 0.9j, 2 + 0.3j], Box(0j, 4.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("roots, region", list(HINTED_CASES.values()), ids=list(HINTED_CASES))
+def test_hints_keep_contours_off_roots(monkeypatch, roots, region):
+    p = Polynomial.from_roots(roots)
+    sizes = []
+    eval_many = Polynomial.eval_many
+
+    def counting(self, z):
+        sizes.append(np.size(z))
+        return eval_many(self, z)
+
+    monkeypatch.setattr(Polynomial, "eval_many", counting)
+    encs = localize_roots(p, region or _cauchy_box(p), 1e-10)
+    assert [e.multiplicity for e in encs] == [1] * len(roots)
+    assert all(abs(e.center - z) < 1e-9 for e, z in zip(encs, roots))
+    assert max(sizes) <= 2**14
+
+
+# items 10 and 39 of the benchmark's roots stream at seed 1: multiple and
+# simple real roots on the centre line, which end in RootOnBoundary when
+# the centre split is tried first
+ROOTS_ITEMS = {
+    "item10": ([108, 108, -261, -266, 198, 214, -44, -62, -2, 6, 1], [-3, -1, 1, 2]),
+    "item39": ([-1, 3, 9, 3, -4], None),
+}
+
+
+@pytest.mark.parametrize("coeffs, centres", list(ROOTS_ITEMS.values()), ids=list(ROOTS_ITEMS))
+def test_roots_items_on_the_centre_line_certify(coeffs, centres):
+    p = Polynomial(coeffs)
+    encs = localize_roots(p, _cauchy_box(p), 1e-10)
+    assert sum(e.multiplicity for e in encs) == p.degree
+    if centres is None:  # simple roots
+        centres = sorted(np.roots(coeffs[::-1]), key=lambda z: (z.real, z.imag))
+    else:
+        assert [e.multiplicity for e in encs] == [3, 3, 2, 2]
+    assert len(encs) == len(centres)
+    assert all(abs(e.center - z) < 1e-9 for e, z in zip(encs, centres))
+
+
+def test_hint_screen_ignores_nan_and_survives_wrong_hints(monkeypatch):
+    box, _hint_near = Box(0j, 1.0, 1.0), valdist.localize._hint_near
+    assert _hint_near([1e-5 + 0.5j], box, (0.0,), ())
+    assert not _hint_near([1e-3 + 0.5j, 0.5 + 2e-4j], box, (0.0,), (0.0,))
+    nans = [complex(math.nan, 0.0), complex(0.0, math.nan)]
+    assert not _hint_near(nans, box, (0.0,), (0.0,))
+    # hints on every centre line and every start-box edge, none of them a
+    # root: the centre split moves to the end and the start box stays
+    p = Polynomial.from_roots([0.3 + 0.2j, -0.6 - 0.1j, 0.7j])
+    want = localize_roots(p, Box(0j, 2.0, 2.0), 1e-10)
+    monkeypatch.setattr(valdist.localize, "_hint_near", lambda hints, box, xs, ys: True)
+    got = localize_roots(p, Box(0j, 2.0, 2.0), 1e-10)
+    assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
+    assert all(abs(g.center - w.center) < 1e-9 for g, w in zip(got, want))
 
 
 # -- Newton and the endgame gate -----------------------------------------------

@@ -1,11 +1,11 @@
 """Usage: python tools/dump_outputs.py <checkout> <out>
 
 Writes to <out> full-precision reprs of a fixed, seeded call set run on
-valdist from <checkout>/src: the README CLI commands, profiles, verifiers,
-counting functions, the proximity integrand's nudge and give-up paths, root
-cancellation, winding counts on contours that pass close to a root,
-localize_roots and fta_witness, the latter two also on integer polynomials
-of the benchmark's roots workload. A change meant to keep results passes
+valdist from <checkout>/src: the README CLI commands and four input
+errors, profiles, verifiers, counting functions, the proximity integrand's
+nudge and give-up paths, root cancellation, winding counts on contours that
+pass close to a root, localize_roots and fta_witness, the latter two also
+on integer polynomials of the benchmark's roots workload. A change meant to keep results passes
 when `cmp` finds the dumps of the parent and the change equal.
 """
 
@@ -58,10 +58,11 @@ CONTOURS["disk zero/pole"] = (
 )
 CONTOURS["disk root on a node"] = (P.from_roots([1.0, 0.1]), UNIT_DISK)
 CONTOURS["box root on an edge"] = (P.from_roots([1 + 0.3j, 0.1]), UNIT_BOX)
-# the int_real and int_multi items among items 0-11 of the benchmark's roots
-# stream at seed 1: real roots on the split line y = 0 and multiple roots
-# reach the exact-arithmetic Newton step, the single-branch walk's stop
-# rule and its restarts; #1 and #10 end in RootOnBoundary
+# int_real and int_multi items of the benchmark's roots stream at seed 1:
+# all of them among items 0-11, plus #39 and #81. Real roots on the split
+# line y = 0 and multiple roots reach the exact-arithmetic Newton step, the
+# single-branch walk's stop rule and its restarts; #1's witness ends in
+# RootOnBoundary, and #81's witness depends on where that walk splits
 ROOTS_WORKLOAD = {
     0: [-3, -6, 6, -9, 3, 4, -9, 5, -1, -2],
     1: [0, 0, -1024, 2304, -1408, -32, 188, -23, -6, 1],
@@ -71,6 +72,8 @@ ROOTS_WORKLOAD = {
     7: [0, 0, -432, 216, 1125, -704, -856, 744, 66, -240, 96, -16, 1],
     9: [-4, -4, -1, 7, -4, -1, 0, 5, 1, 6, 6],
     10: [108, 108, -261, -266, 198, 214, -44, -62, -2, 6, 1],
+    39: [-1, 3, 9, 3, -4],
+    81: [5, 2, 3, -7, 9, -8, -5, -8, 7, 6, 9, -1],
 }
 INPUTS = {
     "z2.json": [[0, 0], [0, 0], [1, 0]],
@@ -88,6 +91,11 @@ CLI = [
     ["verify", "remark", "--poly", "z2.json"],
     ["verify", "smt", "--function", "z2.json", "--a", "0,inf"],
     ["fta-witness", "--poly", "cubic.json", "--tol", "1e-10", "--out", "witness.json"],
+    # input errors: exit 2 with the input check's own message
+    ["verify", "fft", "--function", "z2.json", "--a", "1", "--tol", "0"],
+    ["fta-witness", "--poly", "cubic.json", "--tol", "-1"],
+    ["verify", "remark", "--poly", "z2.json", "--seed", "-1"],
+    ["verify", "degree", "--poly", "z2.json", "--rmax", "10"],
 ]
 
 
