@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import Polynomial, RationalFunction, parse_complex_literal
 from .errors import (
     ConstantFunction,
@@ -270,7 +272,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's seed rule; verify degree has no --seed
             raise _UsageError("expected non-negative integer")
-        return args.func(args)
+        # overflow surfaces as a valdist error or a result; numpy's warnings only crowd stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (_UsageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

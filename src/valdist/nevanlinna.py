@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (
     RootOnBoundary,
 )
 from .localize import Disk, _cauchy_radius, _merge_pairs, localize_roots
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, integrate_rows
 
 # relative half-width of the guard band around the counting circle
 BOUNDARY_GUARD_REL = 1e-12
@@ -230,25 +229,24 @@ def _singularity_knots(r: float, roots):
     return knots
 
 
-def _log_plus(gn: Polynomial, gd: Polynomial, r: float, theta, tries: int = 0):
+def _log_plus(gn: Polynomial, gd: Polynomial, r, theta, tries: int = 0):
     """log+ |gn / gd| at r e^(i theta), the angles shifted by tries * 3e-13.
 
-    A sample on a log pole (an a-point on a sample angle) is retried one
-    step further off its original angle, at most four times.
+    ``r`` holds one radius per angle. A sample on a log pole (an a-point on
+    a sample angle) is retried one step further off its original angle, at
+    most four times; a value still not finite after that is returned as is.
     """
     z = r * np.exp(1j * (theta + tries * 3e-13 if tries else theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.maximum(np.log(np.abs(gn.eval_many(z))) - np.log(np.abs(gd.eval_many(z))), 0.0)
     bad = ~np.isfinite(v)
-    if np.any(bad):
-        if tries == 4:
-            raise QuadratureNotConverged("integrand not finite on the circle")
-        v[bad] = _log_plus(gn, gd, r, theta[bad], tries + 1)
+    if tries < 4 and np.any(bad):
+        v[bad] = _log_plus(gn, gd, r[bad], theta[bad], tries + 1)
     return v
 
 
 def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
-    """m(r, a) at each radius; g and the root hints that place its knots are built once."""
+    """m(r, a) at each radius, all radii in one quadrature; g and its root hints are built once."""
     cfg = cfg or DEFAULT_QUADRATURE
     f = _reduced(f)
     gn, gd = (f.numerator, f.denominator) if a.is_infinite else (f.denominator, _target_poly(f, a))
@@ -257,13 +255,14 @@ def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
     # the Simpson error estimator can be optimistic at log+ kinks, so aim
     # an order below the promised tolerance
     tol = cfg.abs_tol * tau / 16.0
-    out = []
-    for r in radii:
-        integrand = partial(_log_plus, gn, gd, r)
-        knots = _singularity_knots(r, hints)
-        integral = adaptive_simpson(integrand, 0.0, tau, abs_tol=tol, knots=knots)
-        out.append(max(integral / tau, 0.0))
-    return out
+    r_row = np.asarray(radii, dtype=float)
+    knots = [_singularity_knots(r, hints) for r in radii]
+    integrals = integrate_rows(
+        lambda theta, row: _log_plus(gn, gd, r_row[row], theta), 0.0, tau, abs_tol=tol, knots=knots
+    )
+    if any(math.isnan(t) for t in integrals):
+        raise QuadratureNotConverged("integrand not finite on the circle")
+    return [max(t / tau, 0.0) for t in integrals]
 
 
 def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:

@@ -1,11 +1,18 @@
-"""Adaptive Simpson quadrature on a vectorized integrand.
+"""Adaptive Simpson quadrature on a vectorized integrand, many rows at once.
 
 The integrator works in "waves": every pending interval is split at once
-and all new nodes are evaluated in a single vectorized call, which keeps
-the per-node Python overhead negligible even for deep refinements.
+and all new nodes are evaluated in a single vectorized call. Rows (log+ |g|
+on each circle of an r-grid, say) share [a, b] but not their knots; each
+interval carries its row, one call per half-wave evaluates every row, and a
+row's sums are taken over its own elements in the order they would have
+alone. A row's result is thus the same to the bit as when it is integrated
+alone, as long as the integrand's value at a point does not depend on the
+other points of the call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +25,108 @@ _WIDTH_FLOOR = 32.0 * np.finfo(float).eps
 MAX_DEPTH = 24
 
 
+def _runs(row):
+    """(row, start, stop) of each run of one value in a sorted row array."""
+    ids, lo = np.unique(row, return_index=True)
+    return zip(ids.tolist(), lo.tolist(), [*lo[1:].tolist(), row.size])
+
+
+@np.errstate(invalid="ignore")  # inf - inf in the sums of a row that is not finite
+def integrate_rows(fn, a, b, *, abs_tol, knots):
+    """Integrate one integrand per row over [a, b], each to ``abs_tol``.
+
+    ``knots`` holds one knot sequence per row; ``fn(x, row)`` gets the
+    abscissae and the row of each. Each row is refined as by
+    :func:`adaptive_simpson`, except that a non-finite value ends its row
+    with a NaN total. Up to the first such row, the first row whose capped
+    segments leave more than ``abs_tol`` raises ``QuadratureNotConverged``.
+    """
+    if not b > a:
+        raise ValueError("empty integration interval")
+    # seed each row with [a, b], its knots in range and 16 equal pieces
+    grid = np.linspace(a, b, 17)
+    seeds = [np.concatenate(([a, b], [float(k) for k in ks if a < k < b], grid)) for ks in knots]
+    pts = np.concatenate(seeds)
+    pts_row = np.repeat(np.arange(len(seeds)), [s.size for s in seeds])
+    order = np.lexsort((pts, pts_row))
+    pts, pts_row = pts[order], pts_row[order]
+    # drop repeats, and knots that collide within float resolution (locally,
+    # so that deliberately tight knot pairs far from the span scale survive)
+    local = _WIDTH_FLOOR * np.maximum(np.abs(pts[:-1]), 1.0)
+    keep = np.concatenate(([True], (np.diff(pts_row) != 0) | (np.diff(pts) > local)))
+    pts, pts_row = pts[keep], pts_row[keep]
+    last = np.append(np.diff(pts_row) != 0, True)
+    pts[last] = b
+
+    starts = ~last
+    left = pts[starts]
+    row = pts_row[starts]
+    width = np.diff(pts)[starts[:-1]]
+    mid = left + 0.5 * width
+    f_pts = fn(pts, pts_row)  # endpoints evaluated once, shared between neighbours
+    f_left = f_pts[starts]
+    f_right = f_pts[1:][starts[:-1]]
+    f_mid = fn(mid, row)
+    simpson = width / 6.0 * (f_left + 4.0 * f_mid + f_right)
+    depth = np.zeros(left.shape, dtype=int)
+
+    total = [0.0] * len(seeds)
+    leftover = [0.0] * len(seeds)
+    span = b - a
+    while left.size:
+        lm = left + 0.25 * width
+        rm = left + 0.75 * width
+        f_lm = fn(lm, row)
+        f_rm = fn(rm, row)
+        s_l = width / 12.0 * (f_left + 4.0 * f_lm + f_mid)
+        s_r = width / 12.0 * (f_mid + 4.0 * f_rm + f_right)
+        s2 = s_l + s_r
+        err = np.abs(s2 - simpson) / 15.0
+        share = abs_tol * width / span
+        tiny = width < _WIDTH_FLOOR * np.maximum(np.abs(left), 1.0)
+        pend = ~((err <= share) | tiny)
+        pend_err = err[pend]
+        stop = [i for i, lo, hi in _runs(row[pend]) if np.sum(pend_err[lo:hi]) <= 0.5 * abs_tol]
+        if stop:
+            # remaining segments are jointly within budget even though none
+            # meets its width-proportional share (mass concentrated in a few
+            # short segments); stop refining those rows
+            pend &= ~np.isin(row, stop)
+        capped = pend & (depth >= MAX_DEPTH)
+        cont = pend & ~capped
+        gain = (s2 + (s2 - simpson) / 15.0)[~cont]
+        for i, lo, hi in _runs(row[~cont]):
+            total[i] += float(np.sum(gain[lo:hi]))
+        for i, lo, hi in _runs(row[capped]):
+            leftover[i] += float(np.sum(err[capped][lo:hi]))
+        for i in row[~np.isfinite(err)].tolist():  # a value that is not finite ends its row
+            total[i] = math.nan
+            cont &= row != i
+        if not np.any(cont):
+            break
+        half = 0.5 * width[cont]
+        # halves go left then right, and a stable sort by row keeps each
+        # row's elements in the order a lone row would hold them
+        order = np.argsort(np.concatenate([row[cont], row[cont]]), kind="stable")
+        row = np.concatenate([row[cont], row[cont]])[order]
+        left = np.concatenate([left[cont], left[cont] + half])[order]
+        width = np.concatenate([half, half])[order]
+        f_left = np.concatenate([f_left[cont], f_mid[cont]])[order]
+        f_right = np.concatenate([f_mid[cont], f_right[cont]])[order]
+        f_mid = np.concatenate([f_lm[cont], f_rm[cont]])[order]
+        simpson = np.concatenate([s_l[cont], s_r[cont]])[order]
+        depth = np.concatenate([depth[cont] + 1, depth[cont] + 1])[order]
+
+    for t, rest in zip(total, leftover):
+        if math.isnan(t):
+            break
+        if rest > abs_tol:
+            raise QuadratureNotConverged(
+                f"estimate still moving by {rest:.3e} after {MAX_DEPTH} subdivisions"
+            )
+    return total
+
+
 def adaptive_simpson(fn, a, b, *, abs_tol, knots=()):
     """Integrate ``fn`` over [a, b] to absolute tolerance ``abs_tol``.
 
@@ -25,70 +134,7 @@ def adaptive_simpson(fn, a, b, *, abs_tol, knots=()):
     ``knots`` seeds the initial partition (singular angles, ladders around
     near-contour roots, ...); refinement depth is counted per interval from
     its seeded segment, up to ``MAX_DEPTH`` halvings, so a well-placed knot
-    buys resolution for free.
+    buys resolution for free. This is the one-row case of
+    :func:`integrate_rows`.
     """
-    if not b > a:
-        raise ValueError("empty integration interval")
-    pts = [a, b]
-    pts.extend(float(k) for k in knots if a < k < b)
-    pts.extend(np.linspace(a, b, 17))
-    pts = np.unique(np.asarray(pts, dtype=float))
-    # drop knots that collide within float resolution (locally, so that
-    # deliberately tight knot pairs far from the span scale survive)
-    local = _WIDTH_FLOOR * np.maximum(np.abs(pts[:-1]), 1.0)
-    keep = np.concatenate(([True], np.diff(pts) > local))
-    pts = pts[keep]
-    if pts[-1] != b:
-        pts = np.append(pts[:-1], b)
-
-    left = pts[:-1]
-    width = np.diff(pts)
-    mid = left + 0.5 * width
-    f_pts = fn(pts)  # endpoints evaluated once, shared between neighbours
-    f_left = f_pts[:-1]
-    f_right = f_pts[1:]
-    f_mid = fn(mid)
-    simpson = width / 6.0 * (f_left + 4.0 * f_mid + f_right)
-    depth = np.zeros(left.shape, dtype=int)
-
-    total = 0.0
-    leftover = 0.0
-    span = b - a
-    while left.size:
-        lm = left + 0.25 * width
-        rm = left + 0.75 * width
-        f_lm = fn(lm)
-        f_rm = fn(rm)
-        s_l = width / 12.0 * (f_left + 4.0 * f_lm + f_mid)
-        s_r = width / 12.0 * (f_mid + 4.0 * f_rm + f_right)
-        s2 = s_l + s_r
-        err = np.abs(s2 - simpson) / 15.0
-        share = abs_tol * width / span
-        tiny = width < _WIDTH_FLOOR * np.maximum(np.abs(left), 1.0)
-        done = (err <= share) | tiny
-        if float(np.sum(err[~done])) <= 0.5 * abs_tol:
-            # remaining segments are jointly within budget even though none
-            # meets its width-proportional share (mass concentrated in a
-            # few short segments); stop refining
-            done[:] = True
-        capped = (~done) & (depth >= MAX_DEPTH)
-        accept = done | capped
-        total += float(np.sum(s2[accept] + (s2[accept] - simpson[accept]) / 15.0))
-        leftover += float(np.sum(err[capped]))
-        cont = ~accept
-        if not np.any(cont):
-            break
-        half = 0.5 * width[cont]
-        left = np.concatenate([left[cont], left[cont] + half])
-        width = np.concatenate([half, half])
-        f_left = np.concatenate([f_left[cont], f_mid[cont]])
-        f_right = np.concatenate([f_mid[cont], f_right[cont]])
-        f_mid = np.concatenate([f_lm[cont], f_rm[cont]])
-        simpson = np.concatenate([s_l[cont], s_r[cont]])
-        depth = np.concatenate([depth[cont] + 1, depth[cont] + 1])
-
-    if leftover > abs_tol:
-        raise QuadratureNotConverged(
-            f"estimate still moving by {leftover:.3e} after {MAX_DEPTH} subdivisions"
-        )
-    return total
+    return integrate_rows(lambda x, _row: fn(x), a, b, abs_tol=abs_tol, knots=[knots])[0]

@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from valdist.cli import build_parser, main
@@ -274,9 +273,33 @@ INPUT_CHECKS = {
 @pytest.mark.parametrize("argv, message", list(INPUT_CHECKS.values()), ids=list(INPUT_CHECKS))
 def test_input_check_is_usage_error(tmp_path, capsys, square_file, argv, message):
     argv = argv.format(f=square_file, p=square_file, out=tmp_path / "x").split()
-    with np.errstate(invalid="ignore"):  # the infinite grid radius
-        assert main(argv) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# argvs whose float edges make numpy overflow or meet invalid values:
+# stderr holds valdist's own line and nothing from numpy
+FLOAT_EDGES = {
+    "infinite rmax": ("verify remark --poly {p} --rmax inf", 2, "error: rgrid must be strictly increasing\n"),
+    "subnormal radii": (
+        "profile --function {f} --a 0,1,inf --rmin 1e-320 --rmax 1e-319 --points 40 --out {out}",
+        0,
+        "",
+    ),
+    "rmax 1e308": (
+        "profile --function {f} --a 0,1,inf --rmax 1e308 --points 4 --out {out}",
+        1,
+        "computation failed: integrand not finite on the circle\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, err", list(FLOAT_EDGES.values()), ids=list(FLOAT_EDGES))
+def test_float_edges_leave_only_valdist_lines_on_stderr(tmp_path, square_file, argv, code, err):
+    readme = tmp_path / "readme.json"
+    readme.write_text(json.dumps({"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": [[-3, 0], [1, 0]]}))
+    cp = run_cli(*argv.format(f=readme, p=square_file, out=tmp_path / "x").split())
+    assert (cp.returncode, cp.stderr) == (code, err)
 
 
 LIBRARY_CALLS = {

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from valdist import (
     counting_N,
     counting_N_integral,
     enumerate_a_points,
+    log_rgrid,
     proximity_m,
+    verify_degree_growth,
 )
+from valdist import nevanlinna
 
 from conftest import make_rng, random_rational
 
@@ -149,6 +153,29 @@ def test_proximity_gives_up_when_integrand_overflows():
     # |z^2 - 1| overflows on the whole circle, so no nudge makes log+ finite
     with np.errstate(over="ignore"), pytest.raises(QuadratureNotConverged, match="not finite"):
         proximity_m(Z2_MINUS_1, "inf", 1e200)
+
+
+def test_growth_series_calls_the_integrand_as_its_deepest_radius_does(monkeypatch):
+    # one quadrature covers every radius of the grid, so each wave makes
+    # one integrand call for all radii still refining
+    calls = Counter()
+    log_plus = nevanlinna._log_plus
+
+    def counted(gn, gd, r, theta, tries=0):
+        calls[tries > 0] += 1  # a call with tries > 0 is a nudge retry
+        return log_plus(gn, gd, r, theta, tries)
+
+    monkeypatch.setattr(nevanlinna, "_log_plus", counted)
+    p = Polynomial([2, -1, 0, 3j, 1, 0.5])
+    grid = log_rgrid(1.0, 1e4, 32)
+    verify_degree_growth(p, grid)
+    series, retries = calls[False], calls[True]
+    deepest = 0
+    for r in grid:
+        calls.clear()
+        proximity_m(RationalFunction.from_polynomial(p), "inf", r)
+        deepest = max(deepest, calls[False])
+    assert series <= deepest + retries
 
 
 # -- characteristic ---------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Writes to <out> full-precision reprs of a fixed, seeded call set run on
 valdist from <checkout>/src: the README CLI commands and four input
 errors, profiles, verifiers, counting functions, the proximity integrand's
-nudge and give-up paths, root cancellation, winding counts on contours that
+nudge and give-up paths, multi-radius m-series (knot ladders around
+a-points that hug grid circles, a series whose last radius fails, the
+growth workload's 32-point grid), root cancellation, winding counts on contours that
 pass close to a root, localize_roots and fta_witness, the latter two also
 on integer polynomials of the benchmark's roots workload. A change meant to keep results passes
 when `cmp` finds the dumps of the parent and the change equal.
@@ -43,6 +45,14 @@ POLYS = {
     "complex6": P([0.3 - 1j, 2j, -1.5, 0.25 + 0.5j, 1, -0.7j, 1.1]),
 }
 GRID = vd.log_rgrid(1.0, 1e4, 16)
+# the growth workload's grid; one quadrature covers all of its radii
+GRID32 = vd.log_rgrid(1.0, 1e4, 32)
+# zeros and a pole within 1e-6 (relative) of grid circles, inside and
+# outside the guard band, so their rows get knot ladders
+HUGGING = vd.RationalFunction(
+    P.from_roots([GRID[3] * (1 + 3e-8) * 1j**0.25, GRID[7] * (1 - 2e-13) * 1j**1.4, -GRID[10] * (1 + 4e-7)]),
+    P.from_roots([GRID[5] * (1 + 5e-10) * 1j**-0.8, 0.3]),
+)
 # (function, region) pairs whose winding count needs many doublings of the
 # trapezoid rule, or ends in ContourTooClose: a root at relative distance
 # 1e-3, 1e-5 and 1e-7 inside the unit circle or the unit box, a zero and a
@@ -128,6 +138,11 @@ def library():
     show("proximity_m z2-1 0 1.0", lambda: vd.proximity_m(z2, 0, 1.0))
     show("proximity_m z2-1 inf 1e200", lambda: vd.proximity_m(z2, "inf", 1e200))
     show("profile z2-1 nudged", lambda: vd.build_profile(z2, [0, "inf"], [0.5, 1.0, 2.0]))
+    # the last radius of the series fails after the first one has converged
+    show("profile z2-1 last radius 1e200", lambda: vd.build_profile(z2, [0, "inf"], [1.0, 1e200]))
+    show("profile hugging", lambda: vd.build_profile(HUGGING, TARGETS, GRID, seed=1))
+    for name in ("cubic", "quartic", "complex6"):
+        show(f"verify_degree_growth {name} 32", lambda: vd.verify_degree_growth(POLYS[name], GRID32))
     for name, (f, region) in CONTOURS.items():
         show(f"winding {name}", lambda: vd.winding_count(f, region))
     for name, p in POLYS.items():
