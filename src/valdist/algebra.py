@@ -189,9 +189,13 @@ class Polynomial:
             self._arr = np.asarray(self._coeffs, dtype=complex)
         z = np.asarray(z, dtype=complex)
         acc = np.full(z.shape, self._arr[-1], dtype=complex)
+        # in place, except on one point: numpy multiplies a one-element
+        # array in place on a scalar path whose last bit can differ from the
+        # vector loop of every other product, so a point's value would
+        # depend on the batch it came in
+        out = acc if acc.size > 1 else None
         for c in self._arr[-2::-1]:
-            acc *= z
-            acc += c
+            acc = np.add(np.multiply(acc, z, out=out), c, out=out)
         return acc
 
     def eval_magnitude_bound(self, z: complex) -> float:

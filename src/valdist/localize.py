@@ -5,13 +5,16 @@ Counting integrates p'/p (minus q'/q for poles) around region boundaries
 with the trapezoid rule, doubling resolution until the value snaps to the
 same integer at two consecutive resolutions. The 2n-node rule contains the
 n-node rule, so each doubling evaluates only the n new nodes and adds
-their weighted sum to half the running value. Localization is a quadtree
-on boxes: a box whose subdivision line would pass through a root is
-re-split at a pseudo-randomly perturbed point, so children always tile
-their parent exactly and counts stay conserved. Once a box is small, a
-Newton endgame polishes the root and certifies a tiny disk around it by
-an independent winding count. Uncertified companion-matrix root hints only
-place the first split and the start box; winding counts stay the certificate.
+their weighted sum to half the running value. The four children of a
+split share each doubling pass, one evaluation per polynomial for all of
+their new nodes; the inner edges they share are still evaluated once per
+side. Localization is a quadtree on boxes: a box whose subdivision line
+would pass through a root is re-split at a pseudo-randomly perturbed
+point, so children always tile their parent exactly and counts stay
+conserved. Once a box is small, a Newton endgame polishes the root and
+certifies a tiny disk around it by an independent winding count.
+Uncertified companion-matrix root hints only place the first split and
+the start box; winding counts stay the certificate.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import (
 
 WINDING_START_NODES = 256
 WINDING_MAX_NODES = 2**20
+# regions whose rules total at most this many nodes share each doubling pass
+LOCKSTEP_NODES = 2**14
 # a root closer than this (relative to region size) counts as "on" the contour
 CONTOUR_BAND_REL = 1e-9
 SNAP_MARGIN = 0.25
@@ -208,26 +213,25 @@ class _ContourCounter:
         self.den = den if den is not None and den.degree > 0 else None
         self.dden = self.den.derivative() if self.den is not None else None
 
-    def _fresh(self, region: Region, n: int):
-        """One doubling step: the n-node rule's weighted sum of f'/f over the
-        nodes it adds to the n/2-node rule (all of them at the start), and
-        the nearest-root estimate min |p/p'| over those nodes. Returns
-        (0j, 0.0) where f'/f is not finite."""
-        if isinstance(region, Disk):
+    def _fresh(self, regions, n: int) -> list:
+        """One doubling step for regions of one kind: per region, the n-node
+        rule's weighted sum of f'/f over the nodes it adds to the n/2-node
+        rule (all of them at the start), and the nearest-root estimate
+        min |p/p'| over those nodes; (0j, 0.0) where f'/f is not finite.
+        The nodes of all regions go through one evaluation per polynomial,
+        and each region's sums are taken over its own row."""
+        if isinstance(regions[0], Disk):
             e = _unit_circle(n)
-            z = region.center + region.radius * e
+            centers = np.array([r.center for r in regions])
+            radii = np.array([r.radius for r in regions])
+            z = centers[:, None] + radii[:, None] * e
         else:
-            x_lo, x_hi, y_lo, y_hi = region.corners
-            corners = [
-                complex(x_lo, y_lo),
-                complex(x_hi, y_lo),
-                complex(x_hi, y_hi),
-                complex(x_lo, y_hi),
-            ]
-            edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+            edges = [_edges(r) for r in regions]
+            ends = np.array(edges)  # (region, edge, start or end)
             m = n // 4
-            t = _unit_segment(m)
-            z = np.concatenate([a + (b - a) * t for a, b in edges])
+            z = ends[..., 0, None] + (ends[..., 1] - ends[..., 0])[..., None] * _unit_segment(m)
+        k = len(regions)
+        z = z.ravel()
         nv = _eval_repaired(self.num, z)
         dnv = _eval_repaired(self.dnum, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,48 +243,93 @@ class _ContourCounter:
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = g - ddv / dv
                 dist = np.minimum(dist, np.abs(dv) / np.abs(ddv))
-        if not np.all(np.isfinite(g.view(float))):
-            return 0j, 0.0
-        if isinstance(region, Disk):
-            value = np.sum(((region.radius / n) * e) * g)
-        else:
-            # new edge nodes are interior, weight 1/m; the start rule's
-            # edge ends carry half of it
-            g = g.reshape(4, -1)
-            sums = g.sum(axis=1)
-            if n == WINDING_START_NODES:
-                sums -= 0.5 * (g[:, 0] + g[:, -1])
-            value = sum(((b - a) / (2j * np.pi * m)) * s for (a, b), s in zip(edges, sums))
-        d = np.nanmin(dist)  # nan marks nodes where the derivative vanished
-        return complex(value), math.inf if math.isnan(d) else float(d)
+        finite = np.isfinite(g.view(float)).reshape(k, -1).all(axis=1)
+        # a row that is not finite is dropped below; its sums may be nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            if isinstance(regions[0], Disk):
+                values = np.sum(((radii / n)[:, None] * e) * g.reshape(k, -1), axis=1)
+            else:
+                # new edge nodes are interior, weight 1/m; the start rule's
+                # edge ends carry half of it
+                g = g.reshape(k, 4, -1)
+                sums = g.sum(axis=2)
+                if n == WINDING_START_NODES:
+                    sums -= 0.5 * (g[..., 0] + g[..., -1])
+                values = [
+                    sum(((b - a) / (2j * np.pi * m)) * s for (a, b), s in zip(box_edges, row))
+                    for box_edges, row in zip(edges, sums)
+                ]
+        d = np.nanmin(dist.reshape(k, -1), axis=1)  # nan marks nodes where the derivative vanished
+        return [
+            (complex(v), math.inf if math.isnan(di) else float(di)) if ok else (0j, 0.0)
+            for v, di, ok in zip(values, d, finite)
+        ]
+
+    def certified_all(self, regions) -> list:
+        """Certified winding numbers of disks, or of boxes, their doubling ladders in lockstep.
+
+        Each pass evaluates the new nodes of every region that has not
+        snapped, while their rules total at most LOCKSTEP_NODES nodes;
+        past that, the first such region runs alone until it snaps or
+        fails, so a contour through a root runs the long ladder once and
+        not once per region that shares it. Regions in a pass therefore
+        share their node count: they start together, and one that runs
+        alone leaves before the rest move on. The first pass that fails
+        raises for the whole call; within a pass, regions go in list order.
+        """
+        ladders = [_Ladder(region) for region in regions]
+        active = ladders
+        while active:
+            batch = active if sum(ld.n for ld in active) <= LOCKSTEP_NODES else active[:1]
+            passes = self._fresh([ld.region for ld in batch], batch[0].n)
+            for ladder, (fresh, d_est) in zip(batch, passes):
+                ladder.advance(fresh, d_est)
+            active = [ld for ld in active if ld.count is None]
+        return [ld.count for ld in ladders]
 
     def certified(self, region: Region) -> int:
-        """Certified winding number; each doubling is T_2n = T_n / 2 + (new-node sum)."""
-        size = region.size
+        """Certified winding number of one region."""
+        return self.certified_all([region])[0]
+
+
+class _Ladder:
+    """One region's doubling ladder: its running trapezoid value and snap state."""
+
+    def __init__(self, region: Region):
+        self.region = region
+        self.n = WINDING_START_NODES
+        self.value = 0j
+        self.prev_k = None
+        self.prev_ok = False
+        self.min_d = math.inf
+        self.count = None
+
+    def advance(self, fresh: complex, d_est: float):
+        """Take the n-node pass, T_2n = T_n / 2 + (new-node sum); set count once it snaps."""
+        size = self.region.size
         delta = CONTOUR_BAND_REL * size
-        n = WINDING_START_NODES
-        value = 0j
-        prev_k = None
-        prev_ok = False
-        min_d = math.inf
-        while n <= WINDING_MAX_NODES:
-            fresh, d_est = self._fresh(region, n)
-            value = 0.5 * value + fresh
-            min_d = min(min_d, d_est)
-            # the older nodes' estimates passed this test on earlier passes
-            if d_est < delta:
-                raise ContourTooClose(
-                    f"zero/pole within {d_est:.2e} of the contour (band {delta:.2e})"
-                )
-            k = int(round(value.real))
-            ok = abs(value - k) < SNAP_MARGIN
-            if ok and prev_ok and prev_k == k:
-                return k
-            prev_k, prev_ok = k, ok
-            n *= 2
-        if min_d < 1e-5 * size:
-            raise ContourTooClose(f"persistent near-contour root (distance ~{min_d:.2e})")
-        raise QuadratureNotConverged("winding estimate did not stabilize to an integer")
+        self.value = 0.5 * self.value + fresh
+        self.min_d = min(self.min_d, d_est)
+        # the older nodes' estimates passed this test on earlier passes
+        if d_est < delta:
+            raise ContourTooClose(f"zero/pole within {d_est:.2e} of the contour (band {delta:.2e})")
+        k = int(round(self.value.real))
+        ok = abs(self.value - k) < SNAP_MARGIN
+        if ok and self.prev_ok and self.prev_k == k:
+            self.count = k
+            return
+        self.prev_k, self.prev_ok = k, ok
+        self.n *= 2
+        if self.n > WINDING_MAX_NODES:
+            if self.min_d < 1e-5 * size:
+                raise ContourTooClose(f"persistent near-contour root (distance ~{self.min_d:.2e})")
+            raise QuadratureNotConverged("winding estimate did not stabilize to an integer")
+
+
+def _edges(box: Box):
+    x_lo, x_hi, y_lo, y_hi = box.corners
+    corners = [complex(x_lo, y_lo), complex(x_hi, y_lo), complex(x_hi, y_hi), complex(x_lo, y_hi)]
+    return [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
 
 
 def winding_count(f, region: Region) -> int:
@@ -404,7 +453,7 @@ def _children_counts(counter, box, count, rng, hints):
             sy = cy + float(rng.uniform(-0.2, 0.2)) * box.half_im
         children = box.split_at(sx, sy)
         try:
-            counts = [counter.certified(ch) for ch in children]
+            counts = counter.certified_all(children)
         except (ContourTooClose, QuadratureNotConverged):
             continue
         if sum(counts) == count:

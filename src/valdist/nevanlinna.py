@@ -237,7 +237,7 @@ def _log_plus(gn: Polynomial, gd: Polynomial, r, theta, tries: int = 0):
     most four times; a value still not finite after that is returned as is.
     """
     z = r * np.exp(1j * (theta + tries * 3e-13 if tries else theta))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = np.maximum(np.log(np.abs(gn.eval_many(z))) - np.log(np.abs(gd.eval_many(z))), 0.0)
     bad = ~np.isfinite(v)
     if tries < 4 and np.any(bad):

@@ -52,6 +52,20 @@ def test_eval_many_matches_scalar():
         assert abs(vi - p(complex(zi))) <= 1e-10 * max(1.0, abs(vi))
 
 
+def test_eval_many_does_not_depend_on_the_batch():
+    # numpy multiplies one element in place on a scalar path; a point's
+    # value must not change with the array it is evaluated in
+    rng = make_rng(9)
+    for _ in range(200):
+        p = random_polynomial(rng, int(rng.integers(1, 10)))
+        z = rng.uniform(-3, 3, size=(257, 2)) @ np.array([1, 1j])
+        batch = p.eval_many(z)
+        for i in (0, 1, 128, 256):
+            alone = p.eval_many(z[i : i + 1])
+            pair = p.eval_many(z[[i, (i + 1) % 257]])
+            assert alone.tobytes() == pair[:1].tobytes() == batch[i : i + 1].tobytes()
+
+
 def test_eval_exact_agrees_with_horner_when_well_conditioned():
     rng = make_rng(8)
     p = random_polynomial(rng, 7)

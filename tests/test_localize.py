@@ -18,6 +18,8 @@ from valdist import (
 )
 
 from valdist.localize import (
+    LOCKSTEP_NODES,
+    WINDING_MAX_NODES,
     WINDING_START_NODES,
     _ContourCounter,
     _endgame,
@@ -117,11 +119,121 @@ def test_running_sum_matches_direct_rule():
         counter = _ContourCounter(f.numerator, f.denominator)
         value, n = 0j, WINDING_START_NODES
         while n <= 2**14:
-            fresh, _ = counter._fresh(region, n)
+            ((fresh, _),) = counter._fresh([region], n)
             value = 0.5 * value + fresh
             direct, scale = _direct_trapezoid(f, region, n)
             assert abs(value - direct) <= 1e-12 * scale, (trial, n)
             n *= 2
+
+
+# -- a split's four children share each doubling pass ----------------------------
+
+
+def _random_splits(seed, count):
+    """(counter, box, children) for seeded random rationals and random split points."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        f = random_rational(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
+        box = Box(complex(*rng.uniform(-1, 1, 2)), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        sx = box.center.real + rng.uniform(-0.9, 0.9) * box.half_re
+        sy = box.center.imag + rng.uniform(-0.9, 0.9) * box.half_im
+        yield _ContourCounter(f.numerator, f.denominator), box, box.split_at(sx, sy)
+
+
+def _record_ladders(monkeypatch):
+    """Every pass of every ladder as (region, nodes, running value), in pass order."""
+    passes = []
+    advance = valdist.localize._Ladder.advance
+
+    def recording(self, fresh, d_est):
+        n = self.n
+        try:
+            advance(self, fresh, d_est)
+        finally:
+            passes.append((self.region, n, self.value))
+
+    monkeypatch.setattr(valdist.localize._Ladder, "advance", recording)
+    return passes
+
+
+def test_split_counts_match_one_region_runs(monkeypatch):
+    passes = _record_ladders(monkeypatch)
+    for counter, box, children in _random_splits(47, 12):
+        passes.clear()
+        batched = counter.certified_all(children)
+        together = {ch: [(n, v) for r, n, v in passes if r == ch] for ch in children}
+        alone = []
+        for ch in children:
+            passes.clear()
+            alone.append(counter.certified(ch))
+            # each pass's running value is bit for bit the lone run's
+            assert together[ch] == [(n, v) for _, n, v in passes]
+        assert batched == alone
+        assert sum(batched) == counter.certified(box)
+
+
+def test_split_with_a_root_on_a_child_edge_raises():
+    # the root is the midpoint of the last child's top edge, a node of the
+    # start rule; the other three children certify on their own
+    box = Box(0j, 1.0, 1.0)
+    children = box.split_at(-0.3, 0.2)
+    counter = _ContourCounter(Polynomial.from_roots([0.35 + 1j, -0.6 - 0.4j]))
+    assert [counter.certified(ch) for ch in children[:3]] == [1, 0, 0]
+    with pytest.raises(ContourTooClose):
+        counter.certified(children[3])
+    with pytest.raises(ContourTooClose):
+        counter.certified_all(children)
+
+
+def test_shared_edge_through_a_root_runs_the_long_ladder_once(monkeypatch):
+    # the root is on the line between the first two children and no node
+    # hits it, so both their ladders would run to WINDING_MAX_NODES; past
+    # LOCKSTEP_NODES the first runs alone, and its failure ends the call
+    children = Box(0j, 1.0, 1.0).split_at(0.1, 0.0)
+    counter = _ContourCounter(Polynomial.from_roots([0.1 - 0.3j * math.sqrt(0.5), 0.5 + 0.5j]))
+    sizes = []
+    eval_many = Polynomial.eval_many
+
+    def counting(self, z):
+        if self is counter.num:
+            sizes.append(np.size(z))
+        return eval_many(self, z)
+
+    monkeypatch.setattr(Polynomial, "eval_many", counting)
+    for child in children[1::-1]:
+        sizes.clear()
+        with pytest.raises(ContourTooClose):
+            counter.certified(child)
+    alone = sum(sizes)  # the first child's ladder
+    sizes.clear()
+    with pytest.raises(ContourTooClose):
+        counter.certified_all(children)
+    assert alone < sum(sizes) < alone + 4 * LOCKSTEP_NODES
+    assert max(sizes) <= WINDING_MAX_NODES // 2
+
+
+def test_split_in_a_double_root_halo_matches_one_region_runs(monkeypatch):
+    # the dyadic double root of test_endgame_declines_a_box_above_its_gate;
+    # every edge runs within the roundoff halo, so nodes are re-evaluated
+    # exactly, and the batch re-evaluates the nodes the lone runs did
+    root = 0.5 + 2.0**-12 * 1j
+    counter = _ContourCounter(Polynomial.from_roots([root, root, -0.5j]))
+    box = Box(root + (1 - 2j) * 1e-8, 6e-8, 5e-8)
+    children = box.split_at(root.real - 1.3e-8, root.imag + 0.7e-8)
+    calls = []
+    eval_exact = Polynomial.eval_exact
+
+    def counting(self, z):
+        calls.append(z)
+        return eval_exact(self, z)
+
+    monkeypatch.setattr(Polynomial, "eval_exact", counting)
+    alone = [counter.certified(ch) for ch in children]
+    exact_alone = len(calls)
+    calls.clear()
+    assert counter.certified_all(children) == alone
+    assert len(calls) == exact_alone > 0
+    assert sorted(alone) == [0, 0, 0, 2]
 
 
 # -- certified enclosures --------------------------------------------------------

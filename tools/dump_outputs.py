@@ -7,7 +7,9 @@ nudge and give-up paths, multi-radius m-series (knot ladders around
 a-points that hug grid circles, a series whose last radius fails, the
 growth workload's 32-point grid), root cancellation, winding counts on contours that
 pass close to a root, localize_roots and fta_witness, the latter two also
-on integer polynomials of the benchmark's roots workload. A change meant to keep results passes
+on integer polynomials of the benchmark's roots workload, and
+build_profile and both fundamental-theorem verifiers on the first block of
+its distribution workload. A change meant to keep results passes
 when `cmp` finds the dumps of the parent and the change equal.
 """
 
@@ -85,6 +87,22 @@ ROOTS_WORKLOAD = {
     39: [-1, 3, 9, 3, -4],
     81: [5, 2, 3, -7, 9, -8, -5, -8, 7, 6, 9, -1],
 }
+# the first block of the benchmark's distribution stream at seed 1, as
+# (numerator, denominator, targets): integer zeros and poles on the
+# quadtree's first split line y = 0, whose a-point enumeration splits boxes
+# whose four children share each doubling pass of the winding count
+DISTRIBUTION_WORKLOAD = {
+    0: ([-1, 0, 1], [-3, 1], [0, "inf", 1]),
+    1: ([16, -12, 2], [0, 16, 0, -1], [0, "inf", -2j]),
+    2: ([36, -15, -18, -3], [12, 3], [0, "inf", 1 - 2j]),
+    3: ([18, 3, -12, 3], [16, -4, -2], [0, "inf", 1 - 2j]),
+    4: ([4, 3, -1], [18, 0, -2], [0, "inf", 2j]),
+    5: ([-16, 4, 2], [9, -3], [0, "inf", 2j]),
+    6: ([-4, 1], [-6, 3], [0, "inf", -1 + 2j]),
+    7: ([0, 12, -10, 2], [0, -8, 2, 1], [0, "inf", -1 + 2j]),
+    8: ([-6, 3], [12, 10, 2], [0, "inf", -1 + 2j]),
+    9: ([3, 1], [-48, 28, 2, -2], [0, "inf", 1 + 2j]),
+}
 INPUTS = {
     "z2.json": [[0, 0], [0, 0], [1, 0]],
     "cubic.json": [[-1, 0], [0, 0], [3, 0], [1, 0]],
@@ -155,6 +173,11 @@ def library():
         radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
         show(f"roots workload {index}", lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), 1e-10))
         show(f"witness workload {index}", lambda: vd.fta_witness(p, 1e-10))
+    for index, (num, den, targets) in DISTRIBUTION_WORKLOAD.items():
+        f = vd.RationalFunction(P(num), P(den))
+        show(f"profile workload {index}", lambda: vd.build_profile(f, targets, GRID))
+        show(f"fft workload {index}", lambda: vd.verify_first_fundamental(f, targets[-1], GRID))
+        show(f"smt workload {index}", lambda: vd.verify_second_fundamental(f, targets, GRID))
 
 
 def command_line():
