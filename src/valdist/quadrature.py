@@ -3,11 +3,13 @@
 The integrator works in "waves": every pending interval is split at once
 and all new nodes are evaluated in a single vectorized call. Rows (log+ |g|
 on each circle of an r-grid, say) share [a, b] but not their knots; each
-interval carries its row, one call per half-wave evaluates every row, and a
-row's sums are taken over its own elements in the order they would have
-alone. A row's result is thus the same to the bit as when it is integrated
-alone, as long as the integrand's value at a point does not depend on the
-other points of the call.
+interval carries its row, and one call per wave evaluates every row. A
+row's intervals keep the order they would have alone, though not next to
+each other, and each subset that is summed is first stably sorted by row,
+so a row's sums are taken over its own elements in its lone order. A row's
+result is thus the same to the bit as when it is integrated alone, as long
+as the integrand's value at a point does not depend on the other points of
+the call.
 """
 
 from __future__ import annotations
@@ -25,10 +27,15 @@ _WIDTH_FLOOR = 32.0 * np.finfo(float).eps
 MAX_DEPTH = 24
 
 
-def _runs(row):
-    """(row, start, stop) of each run of one value in a sorted row array."""
-    ids, lo = np.unique(row, return_index=True)
-    return zip(ids.tolist(), lo.tolist(), [*lo[1:].tolist(), row.size])
+def _row_sums(row, values):
+    """(row, sum) for each row present in ``row``, its values summed in their order."""
+    if not row.size:
+        return []
+    order = row.argsort(kind="stable")
+    row, values = row[order], values[order]
+    lo = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]
+    hi = [*lo[1:], row.size]
+    return [(i, float(np.add.reduce(values[j:k]))) for i, j, k in zip(row[lo].tolist(), lo, hi)]
 
 
 @np.errstate(invalid="ignore")  # inf - inf in the sums of a row that is not finite
@@ -63,10 +70,11 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     row = pts_row[starts]
     width = np.diff(pts)[starts[:-1]]
     mid = left + 0.5 * width
-    f_pts = fn(pts, pts_row)  # endpoints evaluated once, shared between neighbours
+    # endpoints (evaluated once, shared between neighbours) and midpoints in one call
+    f_all = fn(np.concatenate([pts, mid]), np.concatenate([pts_row, row]))
+    f_pts, f_mid = f_all[: pts.size], f_all[pts.size :]
     f_left = f_pts[starts]
     f_right = f_pts[1:][starts[:-1]]
-    f_mid = fn(mid, row)
     simpson = width / 6.0 * (f_left + 4.0 * f_mid + f_right)
     depth = np.zeros(left.shape, dtype=int)
 
@@ -74,10 +82,9 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     leftover = [0.0] * len(seeds)
     span = b - a
     while left.size:
-        lm = left + 0.25 * width
-        rm = left + 0.75 * width
-        f_lm = fn(lm, row)
-        f_rm = fn(rm, row)
+        quarters = np.concatenate([left + 0.25 * width, left + 0.75 * width])
+        f_q = fn(quarters, np.concatenate([row, row]))
+        f_lm, f_rm = f_q[: row.size], f_q[row.size :]
         s_l = width / 12.0 * (f_left + 4.0 * f_lm + f_mid)
         s_r = width / 12.0 * (f_mid + 4.0 * f_rm + f_right)
         s2 = s_l + s_r
@@ -85,37 +92,38 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
         share = abs_tol * width / span
         tiny = width < _WIDTH_FLOOR * np.maximum(np.abs(left), 1.0)
         pend = ~((err <= share) | tiny)
-        pend_err = err[pend]
-        stop = [i for i, lo, hi in _runs(row[pend]) if np.sum(pend_err[lo:hi]) <= 0.5 * abs_tol]
-        if stop:
-            # remaining segments are jointly within budget even though none
-            # meets its width-proportional share (mass concentrated in a few
-            # short segments); stop refining those rows
-            pend &= ~np.isin(row, stop)
+        stopped = np.zeros(len(seeds), dtype=bool)
+        for i, row_err in _row_sums(row[pend], err[pend]):
+            stopped[i] = row_err <= 0.5 * abs_tol
+        # remaining segments are jointly within budget even though none
+        # meets its width-proportional share (mass concentrated in a few
+        # short segments); stop refining those rows
+        pend &= ~stopped[row]
         capped = pend & (depth >= MAX_DEPTH)
         cont = pend & ~capped
-        gain = (s2 + (s2 - simpson) / 15.0)[~cont]
-        for i, lo, hi in _runs(row[~cont]):
-            total[i] += float(np.sum(gain[lo:hi]))
-        for i, lo, hi in _runs(row[capped]):
-            leftover[i] += float(np.sum(err[capped][lo:hi]))
-        for i in row[~np.isfinite(err)].tolist():  # a value that is not finite ends its row
+        done = ~cont
+        for i, gain in _row_sums(row[done], (s2 + (s2 - simpson) / 15.0)[done]):
+            total[i] += gain
+        for i, rest in _row_sums(row[capped], err[capped]):
+            leftover[i] += rest
+        ended = np.zeros(len(seeds), dtype=bool)
+        ended[row[~np.isfinite(err)]] = True  # a value that is not finite ends its row
+        for i in np.flatnonzero(ended).tolist():
             total[i] = math.nan
-            cont &= row != i
-        if not np.any(cont):
+        cont &= ~ended[row]
+        if not cont.any():
             break
+        # halves go left then right; each row's elements stay in the order a
+        # lone row would hold them, though no longer next to each other
         half = 0.5 * width[cont]
-        # halves go left then right, and a stable sort by row keeps each
-        # row's elements in the order a lone row would hold them
-        order = np.argsort(np.concatenate([row[cont], row[cont]]), kind="stable")
-        row = np.concatenate([row[cont], row[cont]])[order]
-        left = np.concatenate([left[cont], left[cont] + half])[order]
-        width = np.concatenate([half, half])[order]
-        f_left = np.concatenate([f_left[cont], f_mid[cont]])[order]
-        f_right = np.concatenate([f_mid[cont], f_right[cont]])[order]
-        f_mid = np.concatenate([f_lm[cont], f_rm[cont]])[order]
-        simpson = np.concatenate([s_l[cont], s_r[cont]])[order]
-        depth = np.concatenate([depth[cont] + 1, depth[cont] + 1])[order]
+        row = np.concatenate([row[cont], row[cont]])
+        left = np.concatenate([left[cont], left[cont] + half])
+        width = np.concatenate([half, half])
+        f_left = np.concatenate([f_left[cont], f_mid[cont]])
+        f_right = np.concatenate([f_mid[cont], f_right[cont]])
+        f_mid = np.concatenate([f_lm[cont], f_rm[cont]])
+        simpson = np.concatenate([s_l[cont], s_r[cont]])
+        depth = np.concatenate([depth[cont] + 1, depth[cont] + 1])
 
     for t, rest in zip(total, leftover):
         if math.isnan(t):

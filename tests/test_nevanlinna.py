@@ -26,7 +26,7 @@ from valdist import (
 )
 from valdist import nevanlinna
 
-from conftest import make_rng, random_rational
+from conftest import make_rng, random_polynomial, random_rational
 
 
 def as_rf(*coeffs):
@@ -179,6 +179,30 @@ def test_growth_series_calls_the_integrand_as_its_deepest_radius_does(monkeypatc
         proximity_m(RationalFunction.from_polynomial(p), "inf", r)
         deepest = max(deepest, calls[False])
     assert series <= deepest + retries
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_log_plus_of_a_merged_call_equals_its_parts(seed):
+    # the quadrature evaluates both quarter points of a wave, and the seed's
+    # endpoints with its midpoints, in one call: no value may move by it
+    rng = make_rng(seed)
+    gn = random_polynomial(rng, int(rng.integers(1, 13)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, 40)
+    r = 10.0 ** rng.uniform(0.0, 4.0, theta.size)
+    # an a-point on the sample angle at k: the call retries that sample
+    k = int(rng.integers(theta.size))
+    z0 = (r * np.exp(1j * theta))[k]
+    gd = Polynomial([-z0, 1])
+    assert gd.eval_many(r[k : k + 1] * np.exp(1j * theta[k : k + 1]))[0] == 0
+    whole = nevanlinna._log_plus(gn, gd, r, theta)
+    assert np.all(np.isfinite(whole))
+    # parts of one element, and one that holds only the a-point
+    cuts = sorted({1, 2, 7, k, k + 1, 25, 26})
+    parts = [
+        nevanlinna._log_plus(gn, gd, r[lo:hi], theta[lo:hi])
+        for lo, hi in zip([0, *cuts], [*cuts, theta.size])
+    ]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 # -- characteristic ---------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from valdist import QuadratureNotConverged
 from valdist.quadrature import MAX_DEPTH, adaptive_simpson, integrate_rows
 
+from conftest import make_rng
+
 # A unit step at 1/48 sits at relative position 1/3 or 2/3 of the interval
 # that holds it at every depth below the seed piece [0, 1/16], where the
 # Simpson error estimate of that interval is its width / 60. With this
@@ -51,7 +53,7 @@ def test_capped_row_reaches_max_depth():
         lone(step, knots, CAPPED_TOL / 2.0)
 
 
-def test_rows_that_differ_in_depth_take_one_call_per_half_wave():
+def test_rows_that_differ_in_depth_take_one_call_per_wave():
     calls = []
 
     def fn(x, row):
@@ -59,13 +61,34 @@ def test_rows_that_differ_in_depth_take_one_call_per_half_wave():
         return rows_fn([f for f, _ in ROWS])(x, row)
 
     integrate_rows(fn, 0.0, 1.0, abs_tol=CAPPED_TOL, knots=[k for _, k in ROWS])
-    # the step row refines longest: seed, mid, then two calls per wave
-    assert len(calls) == 2 + 2 * (MAX_DEPTH + 1)
-    assert calls[:4] == [len(ROWS)] * 4 and calls[-1] == 1
+    # the step row refines longest: the seed's endpoints and midpoints, then
+    # both quarter points of every interval in one call per wave
+    assert len(calls) == 1 + (MAX_DEPTH + 1)
+    assert calls[:2] == [len(ROWS)] * 2 and calls[-1] == 1
 
 
 def not_finite(x):
     return np.where(x > 0.5, np.inf, 1.0)
+
+
+# ROWS and a row that ends on a non-finite value
+MIXED = [*ROWS, (not_finite, ())]
+NOT_FINITE, CAPPED = len(ROWS), len(ROWS) - 1
+ORDERS = [
+    (0, NOT_FINITE, 1, 2, 3, CAPPED),  # the non-finite row between two finite ones
+    (CAPPED, 3, 2, 1, 0, NOT_FINITE),  # the capped row first
+    *(tuple(make_rng(seed).permutation(len(MIXED)).tolist()) for seed in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_shuffled_rows_match_lone_rows_bit_for_bit(order):
+    # a row's intervals are interleaved with other rows' from the first wave
+    # on; its sums must still come out as in its lone run
+    fns, knots = zip(*(MIXED[i] for i in order))
+    totals = integrate_rows(rows_fn(fns), 0.0, 1.0, abs_tol=CAPPED_TOL, knots=list(knots))
+    assert [t.hex() for t in totals] == [lone(*MIXED[i]).hex() for i in order]
+    assert np.isnan(totals[order.index(NOT_FINITE)])
 
 
 def test_earlier_leftover_failure_beats_later_integrand_failure():

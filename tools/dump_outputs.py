@@ -7,10 +7,11 @@ nudge and give-up paths, multi-radius m-series (knot ladders around
 a-points that hug grid circles, a series whose last radius fails, the
 growth workload's 32-point grid), root cancellation, winding counts on contours that
 pass close to a root, localize_roots and fta_witness, the latter two also
-on integer polynomials of the benchmark's roots workload, and
+on integer polynomials of the benchmark's roots workload,
 build_profile and both fundamental-theorem verifiers on the first block of
-its distribution workload. A change meant to keep results passes
-when `cmp` finds the dumps of the parent and the change equal.
+its distribution workload, and verify_degree_growth on the first block of
+its growth workload. A change meant to keep results passes when `cmp`
+finds the dumps of the parent and the change equal.
 """
 
 import contextlib
@@ -103,6 +104,91 @@ DISTRIBUTION_WORKLOAD = {
     8: ([-6, 3], [12, 10, 2], [0, "inf", -1 + 2j]),
     9: ([3, 1], [-48, 28, 2, -2], [0, "inf", 1 + 2j]),
 }
+# the first block of the benchmark's growth stream at seed 1: integer and
+# complex coefficients (exact reprs) of every degree 2-12, whose 32-radius
+# m(r, inf) series are each integrated in one quadrature wave loop
+GROWTH_WORKLOAD = {
+    0: [-3, -6, 6, -9, 3, 4, -9, 5, -1],
+    1: [
+        (-0.12820270791035804-0.7092821480708611j), (2.0266293138105116-0.725740095513963j),
+        (0.2228662853688409+0.04337085021863684j), (-2.2864992677166316-0.6087532344610592j),
+        (-0.5129560146734695+0.47444525859335623j), (-0.21428541330478093+0.1141200958363181j),
+        (0.1899101662331788+1.0564284189388011j), (-0.7282786513153757+0.01916722902590574j),
+        (0.08427564762421812+0.697636888533994j),
+    ],
+    2: [5, 0, -9, 4, 8, -6, -4, 0, -6, 1, 7],
+    3: [
+        (0.9648439706761432-0.40719676966359186j), (0.7179566567448998-1.3052648251099646j),
+        (-0.43798300196982975+1.2568213446053613j), (1.4310039880525183-1.3024586211383573j),
+        (-1.3328074790889433-0.04426443760183194j), (0.7282413233187197+0.16050467937932975j),
+        (0.30355470782698374-0.988836424974613j), (0.5867917138138036+1.1168523411368356j),
+        (-0.43567252028398296-1.433488063663466j), (-0.7588208236837489+0.7616580058369826j),
+        (-1.733697191836434-0.09187678780560388j),
+    ],
+    4: [7, 3, 2, 6, -9, 6, -8, 0, 9, 9, 3, -4, -4],
+    5: [
+        (-2.8357907866800374-0.03988881469206719j), (0.160169789075227-1.2352087440135413j),
+        (0.464365222572551-0.5592448043269602j), (-2.459100190276957-0.21331839036794661j),
+        (-0.9788457442967794-0.5205958726001464j), (-0.15228441870536935+1.2509753492338231j),
+        (0.10314817894159017-0.028485624983674466j), (0.3890044161673872-1.8120923658246146j),
+        (1.240123870623568-1.0770869202964841j), (0.439095071135007-1.126780495468637j),
+        (-0.9764853646109403-0.39628787527150033j), (1.8957484626184458+0.6976644344684755j),
+        (-0.6041964940486672-0.2843102001962331j),
+    ],
+    6: [7, 4, 6, 2, 4, 2, -9, 8, 8, 1],
+    7: [
+        (-0.23002781211552978+0.06192481151027361j), (0.07981933215619792+0.6194679040792085j),
+        (-1.7133899050529247-1.005477609557734j), (0.5352397587895604-1.7039889787722902j),
+        (0.3112854368224163-0.7018782110924412j), (0.8150806394534229-1.2537656212807677j),
+        (0.1589509226091244+0.09163831429290607j), (1.6716079422413244+0.15335179025447007j),
+        (0.0013337167663952437+0.4815776485420005j), (-0.6506069868124867-0.6489908815182535j),
+    ],
+    8: [-7, -4, -4, -1, 7, -4, -1, 5],
+    9: [
+        (-0.3435730196698372-1.119944424661097j), (0.651625655226245+0.5686222027003662j),
+        (-0.9871195672304918+1.4855493350914861j), (-0.040435644387653125+0.7635261356691431j),
+        (-0.34113701832091553-2.7213080562576892j), (1.038253661680994-0.22822041974664398j),
+        (0.706253449199945-0.10934346522446628j), (-0.21428694336913753+0.1612802520349239j),
+    ],
+    10: [-4, 5, 7, 4, 8, -2],
+    11: [
+        (1.3968784634435116-0.2034982863551386j), (-0.370545939521914-1.030264479235384j),
+        (-0.24691610606420947-0.03735294596532606j), (-0.8198068314937882-1.6065296561342064j),
+        (-0.5658423523814902-0.8894479192786328j), (-0.040822885137835725-0.5166805270646477j),
+    ],
+    12: [-3, -8, -7],
+    13: [
+        (0.543286290210982-0.6693441863503008j), (1.5318002736004828-0.6144188498749448j),
+        (-0.6593020024432616+0.3833838723625657j),
+    ],
+    14: [-9, 8, -8, 9, -3, 9, 5],
+    15: [
+        (0.9522555668521416+1.7719485293273365j), (1.5392963823305985-0.25595833619585023j),
+        (-0.9729241755770676-0.05430204839857393j), (-0.3883143041731573+0.5567365796216144j),
+        (-0.4886271587747469-0.9464985569314426j), (0.16153495354684874+0.4410026542103154j),
+        (-0.4222042651401001-0.7238120421941098j),
+    ],
+    16: [6, -9, 1, 3],
+    17: [
+        (0.15437178477436897-0.11263515586683809j), (0.27084670997295707+0.8490373221702181j),
+        (1.7414900058392688-0.142016904511834j), (-0.36756816323439095+0.5865351049720957j),
+    ],
+    18: [-6, 3, 8, 2, 8, 6, 8, -2, -7, -8, -7, -5],
+    19: [
+        (1.0633372445628335+1.92542909860545j), (0.3890573393867014+1.6418025100646438j),
+        (-1.5503492111274444-1.129505647524399j), (-0.6164159035530472+0.6722550535990737j),
+        (-0.5147838310909897+1.943227477768471j), (-1.972659161294477-1.5100517128307693j),
+        (0.40957460671849055-0.3508565139609446j), (-0.4452534127410352-0.14830057157175158j),
+        (0.3781687802392049+0.09491651402747682j), (1.174674169051434-1.3128508978133009j),
+        (0.4323589270722418-0.8042500140219464j), (-1.307725283655826-1.1556343806158058j),
+    ],
+    20: [3, -7, 9, 8, -2],
+    21: [
+        (-2.2576091011653245-0.9932751895287385j), (-0.5531361833235178+0.6282703338025287j),
+        (-0.48134282241917625-0.10535378239491769j), (0.38048474906221175-0.28845431970587926j),
+        (0.8030207174903166+0.2374178064731583j),
+    ],
+}
 INPUTS = {
     "z2.json": [[0, 0], [0, 0], [1, 0]],
     "cubic.json": [[-1, 0], [0, 0], [3, 0], [1, 0]],
@@ -178,6 +264,9 @@ def library():
         show(f"profile workload {index}", lambda: vd.build_profile(f, targets, GRID))
         show(f"fft workload {index}", lambda: vd.verify_first_fundamental(f, targets[-1], GRID))
         show(f"smt workload {index}", lambda: vd.verify_second_fundamental(f, targets, GRID))
+    for index, coeffs in GROWTH_WORKLOAD.items():
+        p = P(coeffs)
+        show(f"verify_degree_growth workload {index}", lambda: vd.verify_degree_growth(p, GRID32))
 
 
 def command_line():
