@@ -64,7 +64,7 @@ class Polynomial:
     ``is_zero`` true), so degree arithmetic never sees minus infinity.
     """
 
-    __slots__ = ("_coeffs", "_arr")
+    __slots__ = ("_coeffs", "_arr", "_exact")
 
     def __init__(self, coefficients):
         coeffs = [_as_complex(c) for c in coefficients]
@@ -81,6 +81,7 @@ class Polynomial:
             coeffs = coeffs[:end]
         self._coeffs = tuple(coeffs)
         self._arr = None
+        self._exact = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -215,39 +216,28 @@ class Polynomial:
         """Evaluate in exact dyadic-integer arithmetic, rounding only at the end.
 
         Floats are exact rationals with power-of-two denominators, so Horner
-        can run over (integer, shift) pairs without any rounding. This is
-        what makes contour certification possible inside the roundoff halo
-        of a multiple root, where plain Horner returns pure noise.
+        can run over integers without any rounding. This is what makes
+        contour certification possible inside the roundoff halo of a
+        multiple root, where plain Horner returns pure noise. With the
+        coefficients c_i = C_i / 2^k and z = Z / 2^s, the j-th Horner step
+        scaled by 2^(k + j s) is A*Z + (C << j*s).
         """
+        if self._exact is None:
+            parts = [_dyadic(x) for c in self._coeffs for x in (c.real, c.imag)]
+            k = max(s for _, s in parts)
+            ints = [n << (k - s) for n, s in parts]
+            self._exact = (k, list(zip(ints[-2::-2], ints[::-2])))
+        k, coeffs = self._exact
         zr, zrs = _dyadic(z.real)
         zi, zis = _dyadic(z.imag)
         s = max(zrs, zis)
         zr <<= s - zrs
         zi <<= s - zis
-        ar, ars = _dyadic(self._coeffs[-1].real)
-        ai, ais = _dyadic(self._coeffs[-1].imag)
-        t = max(ars, ais)
-        ar <<= t - ars
-        ai <<= t - ais
-        for c in self._coeffs[-2::-1]:
-            nr = ar * zr - ai * zi
-            ni = ar * zi + ai * zr
+        (ar, ai), t = coeffs[0], 0
+        for cr, ci in coeffs[1:]:
             t += s
-            br, brs = _dyadic(c.real)
-            bi, bis = _dyadic(c.imag)
-            u = max(brs, bis)
-            br <<= u - brs
-            bi <<= u - bis
-            if u > t:
-                nr <<= u - t
-                ni <<= u - t
-                t = u
-            else:
-                br <<= t - u
-                bi <<= t - u
-            ar = nr + br
-            ai = ni + bi
-        return complex(_dyadic_to_float(ar, t), _dyadic_to_float(ai, t))
+            ar, ai = ar * zr - ai * zi + (cr << t), ar * zi + ai * zr + (ci << t)
+        return complex(_dyadic_to_float(ar, k + t), _dyadic_to_float(ai, k + t))
 
     # -- calculus and recentring -------------------------------------------------
 

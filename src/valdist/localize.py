@@ -14,7 +14,9 @@ point, so children always tile their parent exactly and counts stay
 conserved. Once a box is small, a Newton endgame polishes the root and
 certifies a tiny disk around it by an independent winding count.
 Uncertified companion-matrix root hints only place the first split and
-the start box; winding counts stay the certificate.
+the start box; winding counts stay the certificate. The witness pipeline
+uses the same descent: of the recentred polynomial's enclosures, it takes
+the one nearest minus the shift, which minimizes the witness modulus.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ ISOLATE_ATTEMPTS = 4
 NEWTON_EXACT_ITERS = 8
 # a root hint this close to a line, relative to the box, puts a root on it
 HINT_REL = 1e-4
+# enclosure radius, relative to the Cauchy radius, of the witness's root
+# search. The enclosure only seeds Newton; the residual test stays the
+# certificate. 1e-3 loses items, because Newton from a coarse cluster
+# centre can land on a far root; 1e-8 and 1e-10 also pass, but descend
+# further
+WITNESS_TOL_REL = 1e-6
 _EPS = float(np.finfo(float).eps)
 
 
@@ -651,40 +659,16 @@ def _quadratic_root(p: Polynomial) -> complex:
     return min(r1, r2, key=lambda z: (z.real, z.imag))
 
 
-def _localize_one_root(p: Polynomial, rng, bias: complex) -> complex:
-    """One certified root of p inside its Cauchy disk.
-
-    Descends into the nonzero-count child nearest ``bias``; callers pick
-    the bias so that the best-conditioned root comes back (the witness
-    pipeline aims at the smallest final witness modulus).
-    """
-    counter = _ContourCounter(p)
-    radius = _cauchy_radius(p) * (1.0 + 1e-9)
-    box0, count0 = _certified_with_retries(counter, Box(0j, radius, radius), rng)
-    if count0 == 0:
+def _nearest_root(q: Polynomial, bias: complex, seed: int) -> complex:
+    """Centre of the certified root enclosure of q nearest ``bias``, inside q's Cauchy disk."""
+    radius = _cauchy_radius(q) * (1.0 + 1e-9)
+    encs = localize_roots(q, Box(0j, radius, radius), WITNESS_TOL_REL * radius, seed=seed)
+    if not encs:
         raise LocalizationFailed("no roots inside the Cauchy bound")
-    # no hints: screened splits would change which root the bias picks
-    box0 = _shrink_start(counter, box0, count0, ())
-    last = None
-    for _ in range(3):
-        box, count = box0, count0
-        try:
-            for _ in range(400):
-                enc = _endgame(counter, box, count, tol=box.diameter)
-                if enc is not None:
-                    return enc.center
-                if box.diameter <= 1e-11 * (1.0 + abs(box.center)):
-                    return box.center  # cluster tighter than any useful tolerance
-                children = _children_counts(counter, box, count, rng, ())
-                children = [bc for bc in children if bc[1] > 0]
-                box, count = min(children, key=lambda bc: abs(bc[0].center - bias))
-            raise SubdivisionDepthExceeded("single-root descent did not terminate")
-        except RootOnBoundary as exc:
-            last = exc  # restart with fresh split offsets
-    raise last
+    return min(encs, key=lambda e: abs(e.center - bias)).center
 
 
-def _witness_recurse(p: Polynomial, rng, levels: list) -> complex:
+def _witness_recurse(p: Polynomial, seed: int, levels: list) -> complex:
     deg = p.degree
     if deg == 1:
         c0, c1 = p.coefficients
@@ -692,7 +676,7 @@ def _witness_recurse(p: Polynomial, rng, levels: list) -> complex:
     if deg == 2:
         return _quadratic_root(p)
     dp = p.derivative()
-    h = _witness_recurse(dp, rng, levels)
+    h = _witness_recurse(dp, seed, levels)
     # the sharper the derivative root, the cleaner the linear kill
     h = _newton(dp, dp.derivative(), h)[0]
     q = p.shift(h)
@@ -707,9 +691,8 @@ def _witness_recurse(p: Polynomial, rng, levels: list) -> complex:
         try:
             dec = claim1_shape_check(q)
             kind = "claim1"
-            # aim for the root of q nearest -h: that minimizes the final
-            # witness modulus, i.e. hands back the best-conditioned root
-            root = _localize_one_root(q, rng, bias=-h)
+            # the root of q nearest -h minimizes the final witness modulus
+            root = _nearest_root(q, -h, seed)
         except BinomialShape as b:
             kind = "binomial"
             base = (-b.constant / b.leading) ** (1.0 / b.degree)
@@ -728,15 +711,17 @@ def fta_witness(p: Polynomial, tol: float = 1e-10, *, seed: int = 0) -> WitnessT
     vanishes; the recentred polynomial either passes the restricted-shape
     check and gets a root localized inside its Cauchy disk, or takes one
     of the closed-form shortcuts (vanishing constant term, pure binomial).
-    The witness is that root shifted back by h.
+    The witness is that root shifted back by h. Both the localized root and
+    the binomial root are the ones nearest -h, which minimizes the witness
+    modulus: at a claim-1 top level, the witness is the root of p of
+    smallest modulus, up to the enclosure tolerance and Newton's polish.
     """
     if p.degree == 0:
         raise ConstantPolynomial("constant polynomials have no roots")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
     levels: list[WitnessLevel] = []
-    w = _witness_recurse(p, rng, levels)
+    w = _witness_recurse(p, seed, levels)
     w = _newton(p, p.derivative(), w)[0]
     residual = abs(p(w))
     scale = p.coefficient_scale

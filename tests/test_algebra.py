@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from valdist import (
     poly_shift,
     reduce_common_roots,
 )
+from valdist.algebra import _dyadic_to_float
 
 from conftest import make_rng, random_polynomial
 
@@ -73,6 +76,31 @@ def test_eval_exact_agrees_with_horner_when_well_conditioned():
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         v = p(z)
         assert abs(p.eval_exact(z) - v) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_eval_exact_is_the_rounded_rational_horner():
+    # the exact Horner value as a Fraction, rounded as eval_exact rounds it;
+    # signed zeros, a subnormal and huge and tiny parts included
+    rng = make_rng(10)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, -3.0, 0.1]
+    polys = [random_polynomial(rng, d) for d in range(0, 10)]
+    polys.append(Polynomial([complex(a, b) for a, b in zip(special, reversed(special))]))
+    points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(10)]
+    points += [complex(a, b) for a in special for b in special[:4]]
+
+    def rounded(x: Fraction) -> float:
+        return _dyadic_to_float(x.numerator, x.denominator.bit_length() - 1)
+
+    for p in polys:
+        for z in points:
+            if abs(z) > 1e200 and p.degree > 1:
+                continue
+            zr, zi = Fraction(z.real), Fraction(z.imag)
+            ar, ai = Fraction(0), Fraction(0)
+            for c in reversed(p.coefficients):
+                ar, ai = ar * zr - ai * zi + Fraction(c.real), ar * zi + ai * zr + Fraction(c.imag)
+            v = p.eval_exact(z)
+            assert (v.real, v.imag) == (rounded(ar), rounded(ai)), (p, z)
 
 
 # -- derivative ---------------------------------------------------------------

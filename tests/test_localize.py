@@ -468,13 +468,41 @@ def test_witness_binomial_shortcut():
     assert trace.claim1_checks[0].kind == "binomial"
 
 
+def test_witness_claim1_is_the_smallest_root():
+    # z^3 + 3z^2 - 1 recentres at its critical point -2; of its three real
+    # roots, the one nearest the origin comes back
+    p = Polynomial([-1, 0, 3, 1])
+    trace = fta_witness(p)
+    assert [lv.kind for lv in trace.claim1_checks] == ["claim1"]
+    roots = np.roots([1, 3, 0, -1])
+    assert abs(trace.witness - min(roots, key=abs)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [-72, -84, 58, 65, -20, -14, 2, 1],
+        [-2, 4, 1, 8, -1, -2, -8, -7, 7, 2],
+        [0, 0, -1024, 2304, -1408, -32, 188, -23, -6, 1],
+    ],
+)
+def test_witness_roots_on_a_split_line(coeffs):
+    # integer polynomials whose recentred levels have real roots, on the
+    # quadtree's first split line y = 0
+    p = Polynomial(coeffs)
+    trace = fta_witness(p, 1e-10)
+    assert trace.residual <= 1e-10 * p.coefficient_scale
+
+
 def test_witness_rejects_constant():
     with pytest.raises(ConstantPolynomial):
         fta_witness(Polynomial([4.2]))
 
 
 def test_witness_rejects_nan_residual(monkeypatch):
-    monkeypatch.setattr(valdist.localize, "_witness_recurse", lambda p, rng, levels: complex("nan"))
+    monkeypatch.setattr(
+        valdist.localize, "_witness_recurse", lambda p, seed, levels: complex("nan")
+    )
     with pytest.raises(LocalizationFailed):
         fta_witness(Polynomial([1, -3, 0, 1]))
 

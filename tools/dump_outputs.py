@@ -7,7 +7,8 @@ nudge and give-up paths, multi-radius m-series (knot ladders around
 a-points that hug grid circles, a series whose last radius fails, the
 growth workload's 32-point grid), root cancellation, winding counts on contours that
 pass close to a root, localize_roots and fta_witness, the latter two also
-on integer polynomials of the benchmark's roots workload,
+on integer polynomials of the benchmark's roots workload, fta_witness on
+two inputs whose recentred levels have roots on a split line,
 build_profile and both fundamental-theorem verifiers on the first block of
 its distribution workload, and verify_degree_growth on the first block of
 its growth workload. A change meant to keep results passes when `cmp`
@@ -73,9 +74,10 @@ CONTOURS["disk root on a node"] = (P.from_roots([1.0, 0.1]), UNIT_DISK)
 CONTOURS["box root on an edge"] = (P.from_roots([1 + 0.3j, 0.1]), UNIT_BOX)
 # int_real and int_multi items of the benchmark's roots stream at seed 1:
 # all of them among items 0-11, plus #39 and #81. Real roots on the split
-# line y = 0 and multiple roots reach the exact-arithmetic Newton step, the
-# single-branch walk's stop rule and its restarts; #1's witness ends in
-# RootOnBoundary, and #81's witness depends on where that walk splits
+# line y = 0 and multiple roots reach the exact-arithmetic Newton step, in
+# localize_roots and in the witness's root search, which takes the
+# enclosure nearest minus the shift; #1 has a double root at 0 and real
+# roots on y = 0 at every level
 ROOTS_WORKLOAD = {
     0: [-3, -6, 6, -9, 3, 4, -9, 5, -1, -2],
     1: [0, 0, -1024, 2304, -1408, -32, 188, -23, -6, 1],
@@ -87,6 +89,12 @@ ROOTS_WORKLOAD = {
     10: [108, 108, -261, -266, 198, 214, -44, -62, -2, 6, 1],
     39: [-1, 3, 9, 3, -4],
     81: [5, 2, 3, -7, 9, -8, -5, -8, 7, 6, 9, -1],
+}
+# witness inputs whose recentred levels have real roots, on the quadtree's
+# first split line y = 0; the first is (z + 3)^2 (z - 2)^3 (z + 1)^2
+WITNESS_EDGE = {
+    "edge deg7": [-72, -84, 58, 65, -20, -14, 2, 1],
+    "edge deg9": [-2, 4, 1, 8, -1, -2, -8, -7, 7, 2],
 }
 # the first block of the benchmark's distribution stream at seed 1, as
 # (numerator, denominator, targets): integer zeros and poles on the
@@ -259,6 +267,8 @@ def library():
         radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
         show(f"roots workload {index}", lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), 1e-10))
         show(f"witness workload {index}", lambda: vd.fta_witness(p, 1e-10))
+    for name, coeffs in WITNESS_EDGE.items():
+        show(f"witness {name}", lambda: vd.fta_witness(P(coeffs), 1e-10))
     for index, (num, den, targets) in DISTRIBUTION_WORKLOAD.items():
         f = vd.RationalFunction(P(num), P(den))
         show(f"profile workload {index}", lambda: vd.build_profile(f, targets, GRID))
