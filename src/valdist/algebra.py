@@ -9,6 +9,7 @@ hand.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,15 @@ class Polynomial:
         return acc
 
     def eval_magnitude_bound(self, z: complex) -> float:
-        """Sum of |c_i| |z|^i: the roundoff scale of evaluating at z."""
-        return float(self.bound_many(abs(z)))
+        """Sum of |c_i| |z|^i: the roundoff scale of evaluating at z.
+
+        The same two roundings per step as :meth:`bound_many`, so the same bits.
+        """
+        z_abs = abs(z)
+        acc = abs(self._coeffs[-1])
+        for c in self._coeffs[-2::-1]:
+            acc = acc * z_abs + abs(c)
+        return acc
 
     def bound_many(self, z_abs) -> np.ndarray:
         """Vectorized sum of |c_i| |z|^i over an array of point moduli."""
@@ -408,13 +416,43 @@ class RationalFunction:
         return f.numerator.degree == 0 and f.denominator.degree == 0
 
 
+# Results of pure per-polynomial computations (root hints, m(r, a) series),
+# keyed on the bytes of everything they read and never on ==: -0.0 == 0.0,
+# but the sign of a zero reaches atan2 through the quadrature knots. The
+# values are stored as tuples and handed out as fresh lists, a call that
+# raises stores nothing, and past _MEMO_ENTRIES the oldest entry goes first.
+_MEMO_ENTRIES = 64
+_MEMO: dict = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def _coefficient_bytes(p: Polynomial) -> bytes:
+    return np.asarray(p.coefficients, dtype=complex).tobytes()
+
+
+def _memo(key, compute) -> list:
+    """compute()'s list, computed once per key while the key stays in the memo."""
+    value = _MEMO.get(key)
+    if value is None:
+        value = tuple(compute())
+        with _MEMO_LOCK:  # evict and insert as one step when threads share the memo
+            if key not in _MEMO and len(_MEMO) >= _MEMO_ENTRIES:
+                del _MEMO[next(iter(_MEMO))]
+            _MEMO[key] = value
+    return list(value)
+
+
 def _roots_hint(p: Polynomial) -> list:
-    """Uncertified root estimates (companion-matrix eigenvalues, polished).
+    """Uncertified root estimates (companion-matrix eigenvalues, polished), memoized.
 
     Candidates are clustered first so multiple roots get the
     multiplicity-aware Newton step, which converges quadratically where
     the plain step stalls at the roundoff halo.
     """
+    return _memo(("hint", _coefficient_bytes(p)), lambda: _solve_hint(p))
+
+
+def _solve_hint(p: Polynomial) -> list:
     if p.degree == 0:
         return []
     raw = sorted(

@@ -187,25 +187,26 @@ def _unit_segment(m: int) -> np.ndarray:
     return t
 
 
-def _eval_repaired(poly: Polynomial, z: np.ndarray) -> np.ndarray:
+def _eval_repaired(poly: Polynomial, z: np.ndarray, z_abs: np.ndarray, z_max: float):
     """Vectorized Horner, with exact re-evaluation where roundoff dominates.
 
     Inside the roundoff halo of a multiple root the float value is pure
     noise; those nodes (detected against the |c_i||z|^i bound) are redone
     in exact dyadic arithmetic so winding certificates stay meaningful at
-    arbitrarily small contour radii.
+    arbitrarily small contour radii. ``z_abs`` is |z| and ``z_max`` its
+    largest entry; returns the values and their moduli.
     """
     v = poly.eval_many(z)
+    v_abs = np.abs(v)
     if poly.degree == 0:
-        return v
-    z_abs = np.abs(z)
-    screen = _RELIABLE_FACTOR * poly.eval_magnitude_bound(complex(float(np.max(z_abs))))
-    if float(np.min(np.abs(v))) > screen:
-        return v
-    bad = np.nonzero(np.abs(v) <= _RELIABLE_FACTOR * poly.bound_many(z_abs))[0]
+        return v, v_abs
+    if float(v_abs.min()) > _RELIABLE_FACTOR * poly.eval_magnitude_bound(z_max):
+        return v, v_abs
+    bad = np.nonzero(v_abs <= _RELIABLE_FACTOR * poly.bound_many(z_abs))[0]
     for i in bad:
         v[i] = poly.eval_exact(complex(z[i]))
-    return v
+    v_abs[bad] = np.abs(v[bad])
+    return v, v_abs
 
 
 class _ContourCounter:
@@ -228,32 +229,39 @@ class _ContourCounter:
         min |p/p'| over those nodes; (0j, 0.0) where f'/f is not finite.
         The nodes of all regions go through one evaluation per polynomial,
         and each region's sums are taken over its own row."""
+        k = len(regions)
         if isinstance(regions[0], Disk):
             e = _unit_circle(n)
             centers = np.array([r.center for r in regions])
             radii = np.array([r.radius for r in regions])
             z = centers[:, None] + radii[:, None] * e
         else:
-            edges = [_edges(r) for r in regions]
-            ends = np.array(edges)  # (region, edge, start or end)
+            # corners counter-clockwise from the lower left; edge j runs
+            # from corner j to corner j + 1
+            corners = np.array(
+                [
+                    (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+                    for x0, x1, y0, y1 in (r.corners for r in regions)
+                ]
+            )
+            sides = np.roll(corners, -1, axis=1) - corners
             m = n // 4
-            z = ends[..., 0, None] + (ends[..., 1] - ends[..., 0])[..., None] * _unit_segment(m)
-        k = len(regions)
+            z = corners[..., None] + sides[..., None] * _unit_segment(m)
         z = z.ravel()
-        nv = _eval_repaired(self.num, z)
-        dnv = _eval_repaired(self.dnum, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = dnv / nv
-            dist = np.abs(nv) / np.abs(dnv)
-        if self.den is not None:
-            dv = _eval_repaired(self.den, z)
-            ddv = _eval_repaired(self.dden, z)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = g - ddv / dv
-                dist = np.minimum(dist, np.abs(dv) / np.abs(ddv))
-        finite = np.isfinite(g.view(float)).reshape(k, -1).all(axis=1)
+        z_abs = np.abs(z)
+        z_max = float(z_abs.max())
         # a row that is not finite is dropped below; its sums may be nan
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nv, nv_abs = _eval_repaired(self.num, z, z_abs, z_max)
+            dnv, dnv_abs = _eval_repaired(self.dnum, z, z_abs, z_max)
+            g = dnv / nv
+            dist = nv_abs / dnv_abs
+            if self.den is not None:
+                dv, dv_abs = _eval_repaired(self.den, z, z_abs, z_max)
+                ddv, ddv_abs = _eval_repaired(self.dden, z, z_abs, z_max)
+                g = g - ddv / dv
+                dist = np.minimum(dist, dv_abs / ddv_abs)
+            finite = np.isfinite(g.view(float)).reshape(k, -1).all(axis=1)
             if isinstance(regions[0], Disk):
                 values = np.sum(((radii / n)[:, None] * e) * g.reshape(k, -1), axis=1)
             else:
@@ -264,10 +272,11 @@ class _ContourCounter:
                 if n == WINDING_START_NODES:
                     sums -= 0.5 * (g[..., 0] + g[..., -1])
                 values = [
-                    sum(((b - a) / (2j * np.pi * m)) * s for (a, b), s in zip(box_edges, row))
-                    for box_edges, row in zip(edges, sums)
+                    sum((side / (2j * np.pi * m)) * s for side, s in zip(box_sides, row))
+                    for box_sides, row in zip(sides.tolist(), sums)
                 ]
-        d = np.nanmin(dist.reshape(k, -1), axis=1)  # nan marks nodes where the derivative vanished
+        # nan marks nodes where the derivative vanished; fmin skips it
+        d = np.fmin.reduce(dist.reshape(k, -1), axis=1)
         return [
             (complex(v), math.inf if math.isnan(di) else float(di)) if ok else (0j, 0.0)
             for v, di, ok in zip(values, d, finite)
@@ -332,12 +341,6 @@ class _Ladder:
             if self.min_d < 1e-5 * size:
                 raise ContourTooClose(f"persistent near-contour root (distance ~{self.min_d:.2e})")
             raise QuadratureNotConverged("winding estimate did not stabilize to an integer")
-
-
-def _edges(box: Box):
-    x_lo, x_hi, y_lo, y_hi = box.corners
-    corners = [complex(x_lo, y_lo), complex(x_hi, y_lo), complex(x_hi, y_hi), complex(x_lo, y_hi)]
-    return [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
 
 
 def winding_count(f, region: Region) -> int:

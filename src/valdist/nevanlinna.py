@@ -5,6 +5,14 @@ counting function comes from a closed-form sum over enumerated a-points
 and, separately, from numeric integration of the defining t-integral;
 the proximity function is adaptive quadrature of log+ |g| on the circle,
 cross-checked by exact Jensen identities in the test-suite.
+
+Each m(r, a) series, and with it T(r), is computed once per (g, grid,
+tolerance): a bounded memo in the algebra layer (64 entries, oldest out
+first) keys it on the bytes of the reduced g's numerator and
+denominator coefficients, of the radii as float64 and of ``abs_tol``. The
+companion-matrix root hints are memoized in the same way, keyed on the
+bytes of the polynomial's coefficients. A-point enumerations are not
+memoized.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     TargetValue,
+    _coefficient_bytes,
+    _memo,
     _roots_hint,
     as_target,
 )
@@ -69,7 +79,7 @@ def _target_poly(f: RationalFunction, a: TargetValue) -> Polynomial:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _APoint:
     z: complex
     modulus: float
@@ -246,23 +256,33 @@ def _log_plus(gn: Polynomial, gd: Polynomial, r, theta, tries: int = 0):
 
 
 def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
-    """m(r, a) at each radius, all radii in one quadrature; g and its root hints are built once."""
+    """m(r, a) at each radius, all radii in one quadrature, memoized per (g, grid, tolerance).
+
+    The key holds the bytes of everything the quadrature reads, so a hit
+    returns exactly what it would. g and its root hints are built once.
+    """
     cfg = cfg or DEFAULT_QUADRATURE
     f = _reduced(f)
     gn, gd = (f.numerator, f.denominator) if a.is_infinite else (f.denominator, _target_poly(f, a))
-    hints = _roots_hint(gd) + _roots_hint(gn)
-    tau = 2.0 * math.pi
-    # the Simpson error estimator can be optimistic at log+ kinks, so aim
-    # an order below the promised tolerance
-    tol = cfg.abs_tol * tau / 16.0
     r_row = np.asarray(radii, dtype=float)
-    knots = [_singularity_knots(r, hints) for r in radii]
-    integrals = integrate_rows(
-        lambda theta, row: _log_plus(gn, gd, r_row[row], theta), 0.0, tau, abs_tol=tol, knots=knots
-    )
-    if any(math.isnan(t) for t in integrals):
-        raise QuadratureNotConverged("integrand not finite on the circle")
-    return [max(t / tau, 0.0) for t in integrals]
+    abs_tol = float(cfg.abs_tol)
+    key = ("m", _coefficient_bytes(gn), _coefficient_bytes(gd), r_row.tobytes(), abs_tol.hex())
+
+    def series():
+        hints = _roots_hint(gd) + _roots_hint(gn)
+        tau = 2.0 * math.pi
+        # the Simpson error estimator can be optimistic at log+ kinks, so aim
+        # an order below the promised tolerance
+        tol = abs_tol * tau / 16.0
+        knots = [_singularity_knots(r, hints) for r in r_row.tolist()]
+        integrals = integrate_rows(
+            lambda theta, row: _log_plus(gn, gd, r_row[row], theta), 0.0, tau, abs_tol=tol, knots=knots
+        )
+        if any(math.isnan(t) for t in integrals):
+            raise QuadratureNotConverged("integrand not finite on the circle")
+        return [max(t / tau, 0.0) for t in integrals]
+
+    return _memo(key, series)
 
 
 def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:
@@ -310,7 +330,7 @@ def _grid_apoints(f: RationalFunction, targets, rgrid, seed: int) -> dict:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProfileRow:
     r: float
     n: int
@@ -321,7 +341,7 @@ class ProfileRow:
     T: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NevanlinnaProfile:
     """Tabulated distribution data for one target over an increasing r-grid."""
 

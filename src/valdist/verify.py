@@ -49,7 +49,7 @@ def log_rgrid(rmin: float = 1.0, rmax: float = 1e4, points: int = 32):
     return _check_grid(np.geomspace(rmin, rmax, points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviationReport:
     """Deviation/slack series over an r-grid plus the pass/fail verdict.
 

@@ -1,6 +1,13 @@
 import numpy as np
+import pytest
 
-from valdist import Polynomial, RationalFunction
+from valdist import Polynomial, RationalFunction, algebra
+
+
+@pytest.fixture(autouse=True)
+def _empty_memo():
+    """Start each test with an empty memo, so that no test reads results another one stored."""
+    algebra._MEMO.clear()
 
 
 def make_rng(seed):

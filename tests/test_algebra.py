@@ -69,6 +69,18 @@ def test_eval_many_does_not_depend_on_the_batch():
             assert alone.tobytes() == pair[:1].tobytes() == batch[i : i + 1].tobytes()
 
 
+def test_magnitude_bound_is_bound_many_to_the_bit():
+    # the contour screen takes the scalar bound, the repair the vector one
+    rng = make_rng(11)
+    for _ in range(100):
+        p = random_polynomial(rng, int(rng.integers(0, 13)))
+        z_abs = 10.0 ** rng.uniform(-3.0, 4.0, 8)
+        vector = p.bound_many(z_abs)
+        for za, vb in zip(z_abs.tolist(), vector.tolist()):
+            assert p.eval_magnitude_bound(za).hex() == vb.hex()
+            assert p.eval_magnitude_bound(complex(0.0, za)).hex() == vb.hex()
+
+
 def test_eval_exact_agrees_with_horner_when_well_conditioned():
     rng = make_rng(8)
     p = random_polynomial(rng, 7)

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 import warnings
 from collections import Counter
 
@@ -23,8 +27,10 @@ from valdist import (
     log_rgrid,
     proximity_m,
     verify_degree_growth,
+    verify_first_fundamental,
+    verify_second_fundamental,
 )
-from valdist import nevanlinna
+from valdist import algebra, nevanlinna
 
 from conftest import make_rng, random_polynomial, random_rational
 
@@ -326,3 +332,181 @@ def test_profile_monotonicity_and_order_relations():
                 assert row.Nbar <= row.N + 1e-12
                 assert row.nbar <= row.n
                 assert row.n <= f.degree_max
+
+
+# -- the memo of m(r, a) series and root hints ------------------------------------------------
+
+
+def _signed_zeros(rng, degree):
+    """Random polynomial with some coefficients replaced by zeros of random sign."""
+    coeffs = list(random_polynomial(rng, degree).coefficients)
+    for i in rng.choice(degree, size=max(1, degree // 2), replace=False):
+        coeffs[i] = complex(*rng.choice([0.0, -0.0], size=2))
+    return Polynomial(coeffs)
+
+
+def _distribution_calls(f, grid):
+    """The distribution calls, with both signs of a zero target."""
+    return [
+        lambda: build_profile(f, [0.0, INFINITY, 1 + 0.5j], grid),
+        lambda: verify_first_fundamental(f, -0.0, grid),
+        lambda: verify_second_fundamental(f, [-0.0, INFINITY, 1 + 0.5j], grid),
+        lambda: verify_first_fundamental(f, 0.0, grid),
+        lambda: proximity_m(f, -0.0, grid[2]),
+        lambda: characteristic_T(f, grid[2]),
+    ]
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except QuadratureNotConverged as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_memo_hits_equal_empty_memo_runs(seed, monkeypatch):
+    rng = make_rng(seed)
+    f = RationalFunction(_signed_zeros(rng, 3), _signed_zeros(rng, 2))
+    grid = log_rgrid(1.0, 1e3, 6)
+    cold = []
+    for call in _distribution_calls(f, grid):
+        algebra._MEMO.clear()
+        cold.append(_outcome(call))
+    warm = [_outcome(call) for call in _distribution_calls(f, grid)]
+    series = Counter()
+    integrate = nevanlinna.integrate_rows
+    monkeypatch.setattr(
+        nevanlinna, "integrate_rows", lambda *a, **kw: series.update([1]) or integrate(*a, **kw)
+    )
+    again = [_outcome(call) for call in _distribution_calls(f, grid)]
+    assert warm == cold and again == cold
+    assert series[1] == 0  # every series of the second round is a hit
+
+
+def test_memo_returns_fresh_lists():
+    f = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-3, 1]))
+    radii = [1.5, 2.5]
+    first = nevanlinna._m_series(f, INFINITY, radii, None)
+    expected = list(first)
+    first[0] = -1.0
+    first.append(7.0)
+    assert nevanlinna._m_series(f, INFINITY, radii, None) == expected
+    hints = algebra._roots_hint(f.numerator)
+    expected = list(hints)
+    hints.clear()
+    assert algebra._roots_hint(f.numerator) == expected
+
+
+def test_memo_misses_on_another_tolerance_grid_target_or_signed_zero(monkeypatch):
+    series, solves = Counter(), Counter()
+    integrate, solve = nevanlinna.integrate_rows, algebra._solve_hint
+    monkeypatch.setattr(
+        nevanlinna, "integrate_rows", lambda *a, **kw: series.update([1]) or integrate(*a, **kw)
+    )
+    monkeypatch.setattr(algebra, "_solve_hint", lambda p: solves.update([p]) or solve(p))
+    f = RationalFunction(Polynomial([0.0, -4, 0, 1]), Polynomial([-3, 1]))
+    # equal to f under ==, but not in the bytes of its coefficients
+    f_signed = RationalFunction(Polynomial([-0.0, -4, 0, 1]), Polynomial([-3, 1]))
+    assert f_signed == f
+    radii = [1.5, 2.5]
+    base = nevanlinna._m_series(f, INFINITY, radii, None)
+    assert series[1] == 1 and len(solves) == 2
+    assert nevanlinna._m_series(f, INFINITY, radii, QuadratureConfig()) == base
+    assert series[1] == 1
+    nevanlinna._m_series(f, INFINITY, radii, QuadratureConfig(abs_tol=1e-8))
+    nevanlinna._m_series(f, INFINITY, [1.5, float(np.nextafter(2.5, 3.0))], None)
+    nevanlinna._m_series(f, nevanlinna.as_target(1.0), radii, None)
+    nevanlinna._m_series(f_signed, INFINITY, radii, None)
+    assert series[1] == 5
+    # the target 1 and the signed zero each bring a polynomial of their own
+    assert sum(solves.values()) == 4
+
+
+def test_memo_holds_at_most_64_entries_oldest_out_first():
+    polys = [Polynomial([k, 1]) for k in range(100)]
+    for p in polys:
+        algebra._roots_hint(p)
+        assert len(algebra._MEMO) <= 64
+    assert len(algebra._MEMO) == 64
+    keys = [("hint", algebra._coefficient_bytes(p)) for p in polys]
+    assert list(algebra._MEMO) == keys[-64:]
+
+
+def test_memo_shared_by_threads_stays_bounded_and_exact():
+    polys = [Polynomial([k, 1, 1]) for k in range(160)]
+    expected = [algebra._solve_hint(p) for p in polys]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(len(polys)):
+                j = (i + offset) % len(polys)
+                if algebra._roots_hint(polys[j]) != expected[j]:
+                    errors.append(j)
+        except Exception as exc:  # a lost eviction raises KeyError; report it below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(17 * t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(algebra._MEMO) <= 64
+
+
+def test_memo_stores_no_failed_series(monkeypatch):
+    series = Counter()
+    integrate = nevanlinna.integrate_rows
+    monkeypatch.setattr(
+        nevanlinna, "integrate_rows", lambda *a, **kw: series.update([1]) or integrate(*a, **kw)
+    )
+    for _ in range(2):
+        with pytest.raises(QuadratureNotConverged, match="not finite"):
+            proximity_m(Z2_MINUS_1, "inf", 1e200)
+    assert series[1] == 2
+    assert not any(key[0] == "m" for key in algebra._MEMO)
+
+
+def test_distribution_triple_integrates_each_series_once(monkeypatch):
+    series, solves = Counter(), Counter()
+    integrate, solve = nevanlinna.integrate_rows, algebra._solve_hint
+    monkeypatch.setattr(
+        nevanlinna, "integrate_rows", lambda *a, **kw: series.update([1]) or integrate(*a, **kw)
+    )
+    monkeypatch.setattr(algebra, "_solve_hint", lambda p: solves.update([p]) or solve(p))
+    # zeros +-2 and the pole 3 are clear of the grid circles, so no radius is nudged
+    f = RationalFunction(Polynomial([-4, 0, 1]), Polynomial([-3, 1]))
+    grid = log_rgrid(1.0, 1e4, 16)
+    targets = [0, INFINITY, 1]
+    build_profile(f, targets, grid)
+    verify_first_fundamental(f, 1, grid)
+    verify_second_fundamental(f, targets, grid)
+    # T(r), m(r, 0) and m(r, 1); hints of the numerator, denominator and numerator - denominator
+    assert series[1] == 3
+    assert len(solves) == 3 and set(solves.values()) == {1}
+
+
+def test_retained_results_are_slotted_and_otherwise_unchanged():
+    f = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-3, 1]))
+    grid = log_rgrid(1.0, 1e2, 4)
+    profile = build_profile(f, [0, INFINITY], grid)[0]
+    point = nevanlinna._apoints(f, nevanlinna.as_target(0), 2.0)[0]
+    report = verify_first_fundamental(f, 1, grid)
+    for obj in (profile, profile.rows[0], point, report):
+        assert not hasattr(obj, "__dict__")
+        copy = dataclasses.replace(obj)
+        assert copy == obj and copy is not obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        if obj is report:
+            with pytest.raises(TypeError):  # its dict fields are unhashable
+                hash(obj)
+        else:
+            assert hash(copy) == hash(obj)
+    assert dataclasses.replace(profile.rows[0], n=9).n == 9

@@ -10,8 +10,9 @@ pass close to a root, localize_roots and fta_witness, the latter two also
 on integer polynomials of the benchmark's roots workload, fta_witness on
 two inputs whose recentred levels have roots on a split line,
 build_profile and both fundamental-theorem verifiers on the first block of
-its distribution workload, and verify_degree_growth on the first block of
-its growth workload. A change meant to keep results passes when `cmp`
+its distribution workload, the same three calls twice over on one f for
+the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
+first block of its growth workload. A change meant to keep results passes when `cmp`
 finds the dumps of the parent and the change equal.
 """
 
@@ -112,6 +113,10 @@ DISTRIBUTION_WORKLOAD = {
     8: ([-6, 3], [12, 10, 2], [0, "inf", -1 + 2j]),
     9: ([3, 1], [-48, 28, 2, -2], [0, "inf", 1 + 2j]),
 }
+# the distribution calls on one f whose numerator has signed zeros, in
+# reverse order and then again, for the targets 0.0 and -0.0: the later
+# calls read m(r, a) series and root hints that earlier ones memoized
+SIGNED_ZEROS = vd.RationalFunction(P([complex(-0.0, -0.0), -4, complex(0.0, -0.0), 1]), P([-3, 1]))
 # the first block of the benchmark's growth stream at seed 1: integer and
 # complex coefficients (exact reprs) of every degree 2-12, whose 32-radius
 # m(r, inf) series are each integrated in one quadrature wave loop
@@ -274,6 +279,13 @@ def library():
         show(f"profile workload {index}", lambda: vd.build_profile(f, targets, GRID))
         show(f"fft workload {index}", lambda: vd.verify_first_fundamental(f, targets[-1], GRID))
         show(f"smt workload {index}", lambda: vd.verify_second_fundamental(f, targets, GRID))
+    for zero in (0.0, -0.0):
+        targets = [zero, "inf", 1]
+        for again in ("", " again"):
+            label = f"signed zeros {zero!r}{again}"
+            show(f"smt {label}", lambda: vd.verify_second_fundamental(SIGNED_ZEROS, targets, GRID))
+            show(f"fft {label}", lambda: vd.verify_first_fundamental(SIGNED_ZEROS, zero, GRID))
+            show(f"profile {label}", lambda: vd.build_profile(SIGNED_ZEROS, targets, GRID))
     for index, coeffs in GROWTH_WORKLOAD.items():
         p = P(coeffs)
         show(f"verify_degree_growth workload {index}", lambda: vd.verify_degree_growth(p, GRID32))
