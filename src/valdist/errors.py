@@ -26,7 +26,7 @@ class QuadratureNotConverged(ValdistError):
 
 
 class RootOnBoundary(ValdistError):
-    """Boundary perturbation retries were exhausted with a root still on the contour."""
+    """A root lies on a contour the caller chose, or on every split line tried."""
 
 
 class SubdivisionDepthExceeded(ValdistError):

@@ -17,6 +17,12 @@ Uncertified companion-matrix root hints only place the first split and
 the start box; winding counts stay the certificate. The witness pipeline
 uses the same descent: of the recentred polynomial's enclosures, it takes
 the one nearest minus the shift, which minimizes the witness modulus.
+
+One boundary rule: ``RootOnBoundary`` at the first ladder through a root
+on a contour no split placed (the caller's region, the box around a disk,
+a final enclosure), for roots on every split tried, and for an enclosure
+astride a disk's circle. A caller may move the region, as
+``nevanlinna._points_past`` does.
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ CONTOUR_BAND_REL = 1e-9
 SNAP_MARGIN = 0.25
 # quadtree boxes one descent may process before giving up
 MAX_BOXES = 50000
-# whole-tree descents localize_roots tries before a RootOnBoundary stands
-ISOLATE_ATTEMPTS = 4
 # exact-arithmetic Newton steps tried below the float roundoff halo
 NEWTON_EXACT_ITERS = 8
 # a root hint this close to a line, relative to the box, puts a root on it
@@ -146,12 +150,6 @@ class RootEnclosure:
     @property
     def radius(self) -> float:
         return self.region.radius
-
-
-def _inflate(region: Region, factor: float) -> Region:
-    if isinstance(region, Disk):
-        return Disk(region.center, region.radius * factor)
-    return Box(region.center, region.half_re * factor, region.half_im * factor)
 
 
 # float values below this multiple of the roundoff bound are recomputed
@@ -376,20 +374,6 @@ def _newton(p: Polynomial, dp: Polynomial, z: complex, multiplicity: int = 1, it
     return best, best_val, step
 
 
-def _certified_with_retries(counter: _ContourCounter, region: Region, rng) -> tuple[Region, int]:
-    """Certified winding over the region, inflating slightly past boundary roots."""
-    for attempt in range(9):
-        try:
-            return region, counter.certified(region)
-        except ContourTooClose:
-            if attempt == 8:
-                raise RootOnBoundary(
-                    "a root stayed within the contour band after 8 perturbations"
-                ) from None
-            region = _inflate(region, 1.0 + 1e-7 * (0.5 + float(rng.random())))
-    raise AssertionError("unreachable")
-
-
 def _newton_exact(p, dp, z, multiplicity):
     """Newton steps with exactly evaluated residuals; beats the float halo."""
     step = math.inf
@@ -561,7 +545,15 @@ def _disks_overlap(item1, item2) -> bool:
     return abs(d1.center - d2.center) <= d1.radius + d2.radius + pad
 
 
-def _merge_certify(counter, finals, rng):
+def _boundary_count(counter, region: Region) -> int:
+    """Certified count of a contour that no split placed; a root on it is RootOnBoundary."""
+    try:
+        return counter.certified(region)
+    except ContourTooClose as exc:
+        raise RootOnBoundary(f"a root lies on the region's boundary: {exc}") from None
+
+
+def _merge_certify(counter, finals):
     """Merge overlapping disks, then certify every non-endgame disk."""
     items = _merge_pairs(
         finals, _disks_overlap, lambda a, b: (_cover(a[0], b[0]), a[1] + b[1], False)
@@ -569,12 +561,11 @@ def _merge_certify(counter, finals, rng):
     out = []
     for disk, mult, certified in items:
         if not certified:
-            region, w = _certified_with_retries(counter, disk, rng)
+            w = _boundary_count(counter, disk)
             if w != mult:
                 raise LocalizationFailed(
                     f"enclosure winding {w} != accumulated multiplicity {mult}"
                 )
-            disk = region
         out.append(RootEnclosure(disk, mult))
     return out
 
@@ -585,7 +576,8 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
     Enclosure disks have radius <= tol, each disk's winding count equals
     its multiplicity, and the multiplicities sum to the winding count of
     the whole region. Root clusters tighter than tol come back as a single
-    enclosure with the summed multiplicity.
+    enclosure with the summed multiplicity. A root on the region's
+    boundary raises ``RootOnBoundary``.
     """
     if p.degree == 0:
         raise ConstantPolynomial("cannot localize roots of a constant polynomial")
@@ -593,31 +585,30 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
         raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
     counter = _ContourCounter(p)
-    region_eff, total = _certified_with_retries(counter, region, rng)
+    total = _boundary_count(counter, region)
     if total == 0:
         return []
-    if isinstance(region_eff, Box):
-        box0, box_total = region_eff, total
+    if isinstance(region, Box):
+        box0, box_total = region, total
     else:
-        box0 = Box(region_eff.center, region_eff.radius, region_eff.radius)
-        box0, box_total = _certified_with_retries(counter, box0, rng)
+        box0 = Box(region.center, region.radius, region.radius)
+        box_total = _boundary_count(counter, box0)
     hints = _roots_hint(p)
     box0 = _shrink_start(counter, box0, box_total, hints)
-    for attempt in range(ISOLATE_ATTEMPTS):
-        try:
-            finals = _isolate(counter, box0, box_total, tol, rng, hints)
-            break
-        except RootOnBoundary:
-            # an interior split line pinned a root through inherited edges;
-            # fresh pseudo-random offsets re-randomize the whole tree
-            if attempt == ISOLATE_ATTEMPTS - 1:
-                raise
-    encs = _merge_certify(counter, finals, rng)
-    if isinstance(region_eff, Disk):
-        encs = [e for e in encs if region_eff.contains(e.center)]
+    encs = _merge_certify(counter, _isolate(counter, box0, box_total, tol, rng, hints))
+    on_circle = False
+    if isinstance(region, Disk):
+        # a root on the circle can snap into its count, and this filter then drops it
+        on_circle = any(
+            abs(abs(e.center - region.center) - region.radius) <= e.radius for e in encs
+        )
+        encs = [e for e in encs if region.contains(e.center)]
     got = sum(e.multiplicity for e in encs)
     if got != total:
-        raise LocalizationFailed(f"enclosures hold {got} roots, the region holds {total}")
+        msg = f"enclosures hold {got} roots, the region holds {total}"
+        if on_circle:
+            raise RootOnBoundary(f"{msg}, and an enclosure straddles the circle")
+        raise LocalizationFailed(msg)
     encs.sort(key=lambda e: (e.center.real, e.center.imag))
     return encs
 

@@ -108,9 +108,7 @@ def _apoints(f: RationalFunction, a: TargetValue, radius: float, seed: int = 0):
 
     pts = _merge_pairs([(e.center, e.multiplicity, e.radius) for e in encs], close, join)
     pts.sort(key=lambda t: (t[0].real, t[0].imag))
-    # boundary-inflation retries may have let the contour creep past the
-    # requested radius; keep the stated open-disk contract
-    return [_APoint(z, abs(z), m, g) for z, m, g in pts if abs(z) < radius]
+    return [_APoint(z, abs(z), m, g) for z, m, g in pts]
 
 
 def enumerate_a_points(f: RationalFunction, a, radius: float, *, seed: int = 0):

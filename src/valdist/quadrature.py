@@ -25,6 +25,8 @@ from .errors import QuadratureNotConverged
 _WIDTH_FLOOR = 32.0 * np.finfo(float).eps
 # halvings allowed below each seeded interval
 MAX_DEPTH = 24
+# open intervals one wave may hold before giving up (the benchmark: < 2^15)
+MAX_WAVE = 2**18
 
 
 def _row_sums(row, values):
@@ -46,7 +48,8 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     abscissae and the row of each. Each row is refined as by
     :func:`adaptive_simpson`, except that a non-finite value ends its row
     with a NaN total. Up to the first such row, the first row whose capped
-    segments leave more than ``abs_tol`` raises ``QuadratureNotConverged``.
+    segments leave more than ``abs_tol`` raises ``QuadratureNotConverged``;
+    so does a wave with more than ``MAX_WAVE`` open intervals.
     """
     if not b > a:
         raise ValueError("empty integration interval")
@@ -82,6 +85,8 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     leftover = [0.0] * len(seeds)
     span = b - a
     while left.size:
+        if left.size > MAX_WAVE:
+            raise QuadratureNotConverged(f"{left.size} intervals open in one wave (cap {MAX_WAVE})")
         quarters = np.concatenate([left + 0.25 * width, left + 0.75 * width])
         f_q = fn(quarters, np.concatenate([row, row]))
         f_lm, f_rm = f_q[: row.size], f_q[row.size :]

@@ -12,6 +12,7 @@ from valdist import (
     LocalizationFailed,
     Polynomial,
     RationalFunction,
+    RootOnBoundary,
     fta_witness,
     localize_roots,
     winding_count,
@@ -293,6 +294,51 @@ def test_localize_rejects_constant():
         localize_roots(Polynomial([5.0]), Disk(0j, 1.0), 1e-9)
     with pytest.raises(ValueError):
         localize_roots(Polynomial([0, 1]), Disk(0j, 1.0), -1.0)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its positional arguments to the returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "roots, region",
+    [
+        ([1 + 0.3j, 0.1], Box(0j, 1.0, 1.0)),
+        ([0.6 + 0.8j, 0.1], Disk(0j, 1.0)),
+        ([1.0, 0.1], Disk(0j, 1.0)),  # on a node of every rule
+    ],
+    ids=["box edge", "disk circle", "disk node"],
+)
+def test_root_on_the_region_boundary_fails_after_one_ladder(monkeypatch, roots, region):
+    ladders = _count_calls(monkeypatch, _ContourCounter, "certified_all")
+    with pytest.raises(RootOnBoundary, match="on the region's boundary: .*contour"):
+        localize_roots(Polynomial.from_roots(roots), region, 1e-10)
+    assert len(ladders) == 1
+
+
+def test_roots_on_every_split_line_fail_after_one_descent(monkeypatch):
+    # the box's count takes half of each root on its edge x = 1, so the
+    # descent holds roots that no split of the box can clear
+    descents = _count_calls(monkeypatch, valdist.localize, "_isolate")
+    with pytest.raises(RootOnBoundary, match="subdivision lines"):
+        localize_roots(Polynomial.from_roots([1 + 0.3j, 1 - 0.3j, 0.1]), Box(0j, 1.0, 1.0), 1e-10)
+    assert len(descents) == 1
+
+
+def test_enclosure_straddling_the_disk_circle_is_a_root_on_boundary():
+    # a conjugate pair of equal modulus on the circle: the count takes half
+    # of each, and the enclosures that the disk filter drops straddle it
+    p = Polynomial([-5, 3, -8, -7, 8, -6, 2, 9, -3])
+    with pytest.raises(RootOnBoundary, match="straddles the circle"):
+        localize_roots(p, Disk(0j, 0.7038434839602782), 1e-10)
 
 
 def test_count_conservation_on_factored_corpus():

@@ -18,6 +18,7 @@ from valdist import (
     QuadratureConfig,
     QuadratureNotConverged,
     RationalFunction,
+    RootOnBoundary,
     build_profile,
     characteristic_T,
     count_n,
@@ -133,6 +134,71 @@ def test_counting_routes_scipy_cross_check():
     assert abs(val - counting_N(f, 0.25, r)) <= 1e-9
 
 
+def _record_enumerations(monkeypatch):
+    """Each _apoints call as RootOnBoundary or None, in call order."""
+    calls = []
+    apoints = nevanlinna._apoints
+
+    def recording(*args, **kwargs):
+        try:
+            pts = apoints(*args, **kwargs)
+        except RootOnBoundary:
+            calls.append(RootOnBoundary)
+            raise
+        calls.append(None)
+        return pts
+
+    monkeypatch.setattr(nevanlinna, "_apoints", recording)
+    return calls
+
+
+def test_cluster_on_the_first_enumeration_circle_counts_through_a_bump(monkeypatch):
+    # three roots 1e-10 apart at c; the first enumeration circle,
+    # r * (1 + 2e-3), is |c| and runs through the cluster, so it raises at
+    # once and the next bump clears it
+    c = 0.4 + 0.1j
+    f = RationalFunction.from_polynomial(Polynomial.from_roots([c, c + 1e-10, c - 1e-10]))
+    calls = _record_enumerations(monkeypatch)
+    assert counting_N(f, 0, abs(c) / 1.002) == 0.0
+    assert calls == [RootOnBoundary, None]
+
+
+def _oracle_moduli(coeffs):
+    """|z| of every root of the integer polynomial, from mpmath at 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=120)
+        return sorted(float(abs(z)) for z in roots)
+
+
+def test_counts_just_inside_each_root_modulus_match_the_oracle():
+    # at r = |z_k| / 1.002 the first enumeration circle runs through z_k;
+    # a conjugate pair on it snaps one root into the disk's count, which
+    # must end in RootOnBoundary (and a bump), not in LocalizationFailed
+    example = [-5, 3, -8, -7, 8, -6, 2, 9, -3]
+    f = RationalFunction.from_polynomial(Polynomial(example))
+    assert count_n(f, 0, 0.7038434839602782 / 1.002) == 0
+    assert counting_N(f, 0, 0.7038434839602782 / 1.002) == 0.0
+    corpus = [example]
+    for seed in range(8):
+        rng = make_rng(seed)
+        while True:  # no root at 0, so n(0) log r is 0
+            coeffs = [int(c) for c in rng.integers(-9, 10, size=9)]
+            if coeffs[0] and coeffs[-1]:
+                break
+        corpus.append(coeffs)
+    for coeffs in corpus:
+        f = RationalFunction.from_polynomial(Polynomial(coeffs))
+        moduli = _oracle_moduli(coeffs)
+        for modulus in moduli:
+            r = modulus / 1.002
+            inside = [m for m in moduli if m < r]
+            assert count_n(f, 0, r) == len(inside), (coeffs, r)
+            want = sum(math.log(r / m) for m in inside)
+            assert abs(counting_N(f, 0, r) - want) <= 1e-9, (coeffs, r)
+
+
 # -- proximity -----------------------------------------------------------------------
 
 
@@ -162,6 +228,15 @@ def test_proximity_gives_up_when_integrand_overflows():
     with warnings.catch_warnings(), pytest.raises(QuadratureNotConverged, match="not finite"):
         warnings.simplefilter("error", RuntimeWarning)
         proximity_m(Z2_MINUS_1, "inf", 1e200)
+
+
+def test_proximity_gives_up_when_a_wave_opens_too_many_intervals():
+    # a double root 1e-9 inside the circle: the waves around it would grow
+    # to tens of millions of nodes before the depth cap stops them
+    z0 = 0.3 + 0.2j
+    f = RationalFunction.from_polynomial(Polynomial.from_roots([z0, z0, -1.1, 0.7j]))
+    with pytest.raises(QuadratureNotConverged, match="intervals open in one wave"):
+        proximity_m(f, 0, abs(z0) * (1 + 1e-9))
 
 
 def test_growth_series_calls_the_integrand_as_its_deepest_radius_does(monkeypatch):

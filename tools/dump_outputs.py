@@ -12,8 +12,10 @@ two inputs whose recentred levels have roots on a split line,
 build_profile and both fundamental-theorem verifiers on the first block of
 its distribution workload, the same three calls twice over on one f for
 the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
-first block of its growth workload. A change meant to keep results passes when `cmp`
-finds the dumps of the parent and the change equal.
+first block of its growth workload, localize_roots with roots on the
+region's boundary, and counts whose first enumeration circle runs through
+an a-point. A change meant to keep results passes when `cmp` finds the
+dumps of the parent and the change equal.
 """
 
 import contextlib
@@ -73,6 +75,22 @@ CONTOURS["disk zero/pole"] = (
 )
 CONTOURS["disk root on a node"] = (P.from_roots([1.0, 0.1]), UNIT_DISK)
 CONTOURS["box root on an edge"] = (P.from_roots([1 + 0.3j, 0.1]), UNIT_BOX)
+# localize_roots on regions with roots on their boundary: one on an edge of
+# the unit box, one on the unit circle between nodes and one on a node,
+# and the pair 1 +- 0.3i on the box's edge x = 1, whose box count takes
+# half of each
+BOUNDARY = {
+    "box edge": ([1 + 0.3j, 0.1], UNIT_BOX),
+    "disk circle": ([0.6 + 0.8j, 0.1], UNIT_DISK),
+    "disk node": ([1.0, 0.1], UNIT_DISK),
+    "box edge pair": ([1 + 0.3j, 1 - 0.3j, 0.1], UNIT_BOX),
+}
+# counts at r = |z| / 1.002, so that the first enumeration circle runs
+# through z: a conjugate pair of equal modulus that straddles it, and three
+# roots 1e-10 apart at 0.4 + 0.1i
+STRADDLE = (vd.RationalFunction(P([-5, 3, -8, -7, 8, -6, 2, 9, -3])), 0.7038434839602782 / 1.002)
+_C = 0.4 + 0.1j
+CLUSTER = (vd.RationalFunction(P.from_roots([_C, _C + 1e-10, _C - 1e-10])), abs(_C) / 1.002)
 # int_real and int_multi items of the benchmark's roots stream at seed 1:
 # all of them among items 0-11, plus #39 and #81. Real roots on the split
 # line y = 0 and multiple roots reach the exact-arithmetic Newton step, in
@@ -289,6 +307,11 @@ def library():
     for index, coeffs in GROWTH_WORKLOAD.items():
         p = P(coeffs)
         show(f"verify_degree_growth workload {index}", lambda: vd.verify_degree_growth(p, GRID32))
+    for name, (zs, region) in BOUNDARY.items():
+        show(f"roots boundary {name}", lambda: vd.localize_roots(P.from_roots(zs), region, 1e-10))
+    for name, (f, r) in (("straddle", STRADDLE), ("cluster", CLUSTER)):
+        for fn in (vd.count_n, vd.counting_N):
+            show(f"{fn.__name__} {name}", lambda: fn(f, 0, r))
 
 
 def command_line():
