@@ -5,10 +5,13 @@ Counting integrates p'/p (minus q'/q for poles) around region boundaries
 with the trapezoid rule, doubling resolution until the value snaps to the
 same integer at two consecutive resolutions. The 2n-node rule contains the
 n-node rule, so each doubling evaluates only the n new nodes and adds
-their weighted sum to half the running value. The four children of a
-split share each doubling pass, one evaluation per polynomial for all of
-their new nodes; the inner edges they share are still evaluated once per
-side. Localization is a quadtree on boxes: a box whose subdivision line
+their weighted sum to half the running value. No value snaps on its
+first rule, so the first two rules share one evaluation. The four
+children of a split share each doubling pass, one evaluation per
+polynomial for all of their new nodes; the inner edges they share are
+still evaluated once per side. A region that holds p's Cauchy disk holds
+all deg p roots by Cauchy's bound, so its count is the degree, a theorem
+and not a contour. Localization is a quadtree on boxes: a box whose subdivision line
 would pass through a root is re-split at a pseudo-randomly perturbed
 point, so children always tile their parent exactly and counts stay
 conserved. Once a box is small, a Newton endgame polishes the root and
@@ -220,34 +223,35 @@ class _ContourCounter:
         self.den = den if den is not None and den.degree > 0 else None
         self.dden = self.den.derivative() if self.den is not None else None
 
-    def _fresh(self, regions, n: int) -> list:
-        """One doubling step for regions of one kind: per region, the n-node
-        rule's weighted sum of f'/f over the nodes it adds to the n/2-node
-        rule (all of them at the start), and the nearest-root estimate
-        min |p/p'| over those nodes; (0j, 0.0) where f'/f is not finite.
-        The nodes of all regions go through one evaluation per polynomial,
-        and each region's sums are taken over its own row."""
+    def _fresh(self, regions, rules) -> list:
+        """Doubling steps for regions of one kind, one per rule size in ``rules``.
+
+        Per rule and region: the rule's weighted sum of f'/f over the nodes
+        it adds to the rule of half its size (all of them at the start),
+        and the nearest-root estimate min |p/p'| over those nodes; (0j, 0.0)
+        where f'/f is not finite. The nodes of every rule and region go
+        through one evaluation per polynomial; each rule's sums are taken
+        over its own contiguous slice, and each region's over its own row.
+        """
         k = len(regions)
-        if isinstance(regions[0], Disk):
-            e = _unit_circle(n)
+        disks = isinstance(regions[0], Disk)
+        if disks:
             centers = np.array([r.center for r in regions])
             radii = np.array([r.radius for r in regions])
-            z = centers[:, None] + radii[:, None] * e
+            zs = [centers[:, None] + radii[:, None] * _unit_circle(n) for n in rules]
         else:
             # corners counter-clockwise from the lower left; edge j runs
             # from corner j to corner j + 1
-            corners = np.array(
-                [
-                    (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-                    for x0, x1, y0, y1 in (r.corners for r in regions)
-                ]
-            )
-            sides = np.roll(corners, -1, axis=1) - corners
-            m = n // 4
-            z = corners[..., None] + sides[..., None] * _unit_segment(m)
-        z = z.ravel()
+            xy = np.array([r.corners for r in regions])
+            corners = np.empty((k, 4), dtype=complex)
+            corners.real = xy[:, [0, 1, 1, 0]]
+            corners.imag = xy[:, [2, 2, 3, 3]]
+            sides = corners[:, [1, 2, 3, 0]] - corners
+            zs = [corners[..., None] + sides[..., None] * _unit_segment(n // 4) for n in rules]
+        z = np.concatenate([zi.ravel() for zi in zs])
         z_abs = np.abs(z)
         z_max = float(z_abs.max())
+        out = []
         # a row that is not finite is dropped below; its sums may be nan
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             nv, nv_abs = _eval_repaired(self.num, z, z_abs, z_max)
@@ -259,26 +263,38 @@ class _ContourCounter:
                 ddv, ddv_abs = _eval_repaired(self.dden, z, z_abs, z_max)
                 g = g - ddv / dv
                 dist = np.minimum(dist, dv_abs / ddv_abs)
-            finite = np.isfinite(g.view(float)).reshape(k, -1).all(axis=1)
-            if isinstance(regions[0], Disk):
-                values = np.sum(((radii / n)[:, None] * e) * g.reshape(k, -1), axis=1)
-            else:
-                # new edge nodes are interior, weight 1/m; the start rule's
-                # edge ends carry half of it
-                g = g.reshape(k, 4, -1)
-                sums = g.sum(axis=2)
-                if n == WINDING_START_NODES:
-                    sums -= 0.5 * (g[..., 0] + g[..., -1])
-                values = [
-                    sum((side / (2j * np.pi * m)) * s for side, s in zip(box_sides, row))
-                    for box_sides, row in zip(sides.tolist(), sums)
-                ]
-        # nan marks nodes where the derivative vanished; fmin skips it
-        d = np.fmin.reduce(dist.reshape(k, -1), axis=1)
-        return [
-            (complex(v), math.inf if math.isnan(di) else float(di)) if ok else (0j, 0.0)
-            for v, di, ok in zip(values, d, finite)
-        ]
+            stop = 0
+            for n, zi in zip(rules, zs):
+                start, stop = stop, stop + zi.size
+                gi = g[start:stop].reshape(zi.shape)
+                finite = np.isfinite(gi.view(float)).reshape(k, -1).all(axis=1)
+                if disks:
+                    values = np.sum(((radii / n)[:, None] * _unit_circle(n)) * gi, axis=1)
+                else:
+                    # new edge nodes are interior, weight 1/m; the start
+                    # rule's edge ends carry half of it
+                    sums = gi.sum(axis=2)
+                    if n == WINDING_START_NODES:
+                        sums -= 0.5 * (gi[..., 0] + gi[..., -1])
+                    # side / (2 pi i m) as CPython divides a complex by
+                    # it, then the edges summed in order: the bits of a
+                    # per-box loop in Python arithmetic, up to the sign
+                    # of an exact zero, which no count reads
+                    c = 2.0 * math.pi * (n // 4)
+                    w = np.empty_like(sides)
+                    w.real = sides.imag / c
+                    w.imag = -sides.real / c
+                    terms = w * sums
+                    values = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+                # nan marks nodes where the derivative vanished; fmin skips it
+                d = np.fmin.reduce(dist[start:stop].reshape(k, -1), axis=1)
+                out.append(
+                    [
+                        (complex(v), math.inf if math.isnan(di) else float(di)) if ok else (0j, 0.0)
+                        for v, di, ok in zip(values, d, finite)
+                    ]
+                )
+        return out
 
     def certified_all(self, regions) -> list:
         """Certified winding numbers of disks, or of boxes, their doubling ladders in lockstep.
@@ -291,14 +307,20 @@ class _ContourCounter:
         share their node count: they start together, and one that runs
         alone leaves before the rest move on. The first pass that fails
         raises for the whole call; within a pass, regions go in list order.
+
+        A ladder cannot snap on its first rule, since a snap needs two
+        agreeing passes, so the first two rules share one evaluation
+        whenever the second pass would take the same batch.
         """
         ladders = [_Ladder(region) for region in regions]
         active = ladders
         while active:
             batch = active if sum(ld.n for ld in active) <= LOCKSTEP_NODES else active[:1]
-            passes = self._fresh([ld.region for ld in batch], batch[0].n)
-            for ladder, (fresh, d_est) in zip(batch, passes):
-                ladder.advance(fresh, d_est)
+            n = batch[0].n
+            paired = n == WINDING_START_NODES and 2 * n * len(batch) <= LOCKSTEP_NODES
+            for passes in self._fresh([ld.region for ld in batch], (n, 2 * n) if paired else (n,)):
+                for ladder, (fresh, d_est) in zip(batch, passes):
+                    ladder.advance(fresh, d_est)
             active = [ld for ld in active if ld.count is None]
         return [ld.count for ld in ladders]
 
@@ -570,6 +592,16 @@ def _merge_certify(counter, finals):
     return out
 
 
+def _holds_cauchy_disk(region: Region, p: Polynomial) -> bool:
+    """The region holds p's Cauchy disk |z| <= 1 + max |c_i| / |c_n| (i < n),
+    which holds every root, with a relative margin of 1e-12 for rounding."""
+    radius = _cauchy_radius(p) * (1.0 + 1e-12)
+    c = region.center
+    if isinstance(region, Disk):
+        return abs(c) + radius <= region.radius
+    return abs(c.real) + radius <= region.half_re and abs(c.imag) + radius <= region.half_im
+
+
 def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
     """Certified, pairwise-disjoint root enclosures of p inside the region.
 
@@ -578,6 +610,11 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
     the whole region. Root clusters tighter than tol come back as a single
     enclosure with the summed multiplicity. A root on the region's
     boundary raises ``RootOnBoundary``.
+
+    ``tol`` is absolute. The descent raises ``SubdivisionDepthExceeded``
+    at a box whose diameter is at most 256 eps max(1, |centre|), about the
+    float spacing there, so a tol below 256 eps |root| cannot be met: at
+    a root near 1e4 that is 5.7e-10, and a tol of 1e-10 raises.
     """
     if p.degree == 0:
         raise ConstantPolynomial("cannot localize roots of a constant polynomial")
@@ -585,14 +622,15 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
         raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
     counter = _ContourCounter(p)
-    total = _boundary_count(counter, region)
-    if total == 0:
-        return []
-    if isinstance(region, Box):
-        box0, box_total = region, total
+    box0 = region if isinstance(region, Box) else Box(region.center, region.radius, region.radius)
+    if _holds_cauchy_disk(region, p):
+        # every root lies in the Cauchy disk, and so inside region and box0
+        total = box_total = p.degree
     else:
-        box0 = Box(region.center, region.radius, region.radius)
-        box_total = _boundary_count(counter, box0)
+        total = _boundary_count(counter, region)
+        if total == 0:
+            return []
+        box_total = total if box0 is region else _boundary_count(counter, box0)
     hints = _roots_hint(p)
     box0 = _shrink_start(counter, box0, box_total, hints)
     encs = _merge_certify(counter, _isolate(counter, box0, box_total, tol, rng, hints))

@@ -328,6 +328,26 @@ def _grid_apoints(f: RationalFunction, targets, rgrid, seed: int) -> dict:
     return pts
 
 
+def _m_nudged(f: RationalFunction, a: TargetValue, pts, rgrid, used_r, cfg) -> list:
+    """m(r, a) at the used radii, where ``pts`` are the a-points and only some radii were nudged.
+
+    If no a-point of this target put a nudged radius in the guard band,
+    the caller's grid is integrated as one series, the memo entry that
+    the verifiers read, and the nudged radii as rows of their own. A row
+    does not depend on the rows it is integrated with, so each value is
+    the one a series on the used radii gives. The grid row of a radius
+    that this target's a-points nudged is costly or fails (a log
+    singularity on the circle), so that target keeps the used radii.
+    """
+    nudged = [i for i, (r, u) in enumerate(zip(rgrid, used_r)) if r != u]
+    if not nudged or any(_guard_hit(pts, rgrid[i]) for i in nudged):
+        return _m_series(f, a, used_r, cfg)
+    m = _m_series(f, a, rgrid, cfg)
+    for i, m_val in zip(nudged, _m_series(f, a, [used_r[i] for i in nudged], cfg)):
+        m[i] = m_val
+    return m
+
+
 @dataclass(frozen=True, slots=True)
 class ProfileRow:
     r: float
@@ -386,7 +406,8 @@ def build_profile(
             nudges.append((r_req, r))
         used_r.append(r)
 
-    t_values = _t_series(f, used_r, cfg, cache[INFINITY])
+    m_inf = _m_nudged(f, INFINITY, cache[INFINITY], rgrid, used_r, cfg)
+    t_values = [m + _N_at(cache[INFINITY], r, False) for r, m in zip(used_r, m_inf)]
 
     profiles = []
     for a in targets:
@@ -394,7 +415,7 @@ def build_profile(
         if a.is_infinite:
             m_values = [t_val - _N_at(pts, r, False) for r, t_val in zip(used_r, t_values)]
         else:
-            m_values = _m_series(f, a, used_r, cfg)
+            m_values = _m_nudged(f, a, pts, rgrid, used_r, cfg)
         rows = [
             ProfileRow(
                 r=r,

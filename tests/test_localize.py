@@ -22,6 +22,7 @@ from valdist.localize import (
     LOCKSTEP_NODES,
     WINDING_MAX_NODES,
     WINDING_START_NODES,
+    _cauchy_radius,
     _ContourCounter,
     _endgame,
     _newton,
@@ -82,7 +83,8 @@ def test_doubling_evaluates_each_node_once(monkeypatch, shape, rel):
     else:
         with pytest.raises(ContourTooClose):
             counter.certified(region)
-    n = WINDING_START_NODES * 2 ** (len(sizes) - 1)
+    # the first evaluation holds the first two rules, each later one the next rule
+    n = WINDING_START_NODES * 2 ** len(sizes)
     assert n >= 2**19
     # a box's four corners are each evaluated as the end of two edges
     assert sum(sizes) == (n if shape == "disk" else n + 4)
@@ -120,10 +122,102 @@ def test_running_sum_matches_direct_rule():
         counter = _ContourCounter(f.numerator, f.denominator)
         value, n = 0j, WINDING_START_NODES
         while n <= 2**14:
-            ((fresh, _),) = counter._fresh([region], n)
+            (((fresh, _),),) = counter._fresh([region], (n,))
             value = 0.5 * value + fresh
             direct, scale = _direct_trapezoid(f, region, n)
             assert abs(value - direct) <= 1e-12 * scale, (trial, n)
+            n *= 2
+
+
+def _hex(v: complex):
+    """A complex value's bits, so that a sign of zero or a nan counts."""
+    return v.real.hex(), v.imag.hex()
+
+
+def _bits(passes):
+    return [(_hex(v), d.hex()) for v, d in passes]
+
+
+def _random_regions(rng, kind, k):
+    centres = rng.uniform(-1, 1, (k, 2))
+    if kind == "disk":
+        return [Disk(complex(*c), rng.uniform(0.3, 2.0)) for c in centres]
+    return [Box(complex(*c), rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)) for c in centres]
+
+
+@pytest.mark.parametrize("kind", ["disk", "box"])
+def test_paired_rules_match_one_rule_evaluations(kind):
+    # the first two rules share one evaluation; each region's sums and
+    # estimates are those of two evaluations with one rule each
+    rng = make_rng(53)
+    for trial in range(12):
+        f = random_rational(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
+        counter = _ContourCounter(f.numerator, f.denominator)
+        regions = _random_regions(rng, kind, 1 + trial % 4)
+        n = WINDING_START_NODES
+        first, second = counter._fresh(regions, (n, 2 * n))
+        assert _bits(first) == _bits(counter._fresh(regions, (n,))[0])
+        assert _bits(second) == _bits(counter._fresh(regions, (2 * n,))[0])
+
+
+@pytest.mark.parametrize(
+    "region, root",
+    [(Disk(0j, 1.0), 1.0), (Box(0j, 1.0, 1.0), 1 + 0.5j)],
+    ids=["disk", "box"],
+)
+def test_root_on_a_start_node_raises_at_the_first_rule(monkeypatch, region, root):
+    # the root is a node of the 256-node rule; the paired evaluation still
+    # fails the first pass, with the message of a one-rule evaluation
+    counter = _ContourCounter(Polynomial.from_roots([root, 0.2j]))
+    ((fresh, d_est),) = counter._fresh([region], (WINDING_START_NODES,))[0]
+    with pytest.raises(ContourTooClose) as lone:
+        valdist.localize._Ladder(region).advance(fresh, d_est)
+    passes = _record_ladders(monkeypatch)
+    with pytest.raises(ContourTooClose) as paired:
+        counter.certified(region)
+    assert str(paired.value) == str(lone.value)
+    assert [n for _, n, _ in passes] == [WINDING_START_NODES]
+
+
+def _per_box_fresh(counter, boxes, n):
+    """One rule's sums for boxes as a per-box loop: each edge's sum, and the
+    sum over edges of side / (2 pi i m) times it in Python complex arithmetic."""
+    m = n // 4
+    t = np.linspace(0.0, 1.0, m + 1) if n == WINDING_START_NODES else np.arange(1, m, 2) / m
+    values = []
+    for box in boxes:
+        x0, x1, y0, y1 = box.corners
+        corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+        total = 0
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            z = a + (b - a) * t
+            g = counter.dnum.eval_many(z) / counter.num.eval_many(z)
+            if counter.den is not None:
+                g = g - counter.dden.eval_many(z) / counter.den.eval_many(z)
+            s = g.sum()
+            if n == WINDING_START_NODES:
+                s -= 0.5 * (g[0] + g[-1])
+            total = total + ((b - a) / (2j * np.pi * m)) * s
+        values.append(complex(total))
+    return values
+
+
+def test_box_pass_matches_the_per_box_formula():
+    rng = make_rng(59)
+    cases = []
+    for trial in range(10):
+        f = random_rational(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
+        cases.append((f, _random_regions(rng, "box", 1 + trial % 4)))
+    # real coefficients on boxes symmetric about the real axis: edge sums
+    # with imaginary parts that cancel exactly
+    real = RationalFunction(Polynomial([-2.0, 0.5, 1.0, 3.0]), Polynomial([4.0, -1.0, 1.0]))
+    cases.append((real, [Box(0j, 2.0, 2.0), Box(0.5 + 0j, 1.0, 3.0)]))
+    for f, boxes in cases:
+        counter = _ContourCounter(f.numerator, f.denominator)
+        n = WINDING_START_NODES
+        while n <= 2**12:
+            batched = [_hex(v) for v, _ in counter._fresh(boxes, (n,))[0]]
+            assert batched == [_hex(v) for v in _per_box_fresh(counter, boxes, n)], n
             n *= 2
 
 
@@ -306,6 +400,48 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+# z^12 - (z^11 + ... + 1): its largest root, about 1.99976, lies 1.2e-4
+# (relative) inside its Cauchy bound of 2
+TIGHT_CAUCHY = Polynomial([-1.0] * 12 + [1.0])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [TIGHT_CAUCHY, Polynomial.from_roots([1.5, -0.5 + 1j, -0.5 - 1j, 0.25j, 0.25j])],
+    ids=["tight", "spread"],
+)
+def test_region_holding_the_cauchy_disk_skips_the_outer_contours(monkeypatch, p):
+    radius = _cauchy_radius(p) * (1 + 1e-9)
+    regions = [Box(0j, radius, radius), Disk(0j, radius), Disk(0.3 - 0.2j, radius + 0.4)]
+    ladders = _count_calls(monkeypatch, _ContourCounter, "certified_all")
+    skipped = []
+    for region in regions:
+        ladders.clear()
+        skipped.append(localize_roots(p, region, 1e-10))
+        outer = (region, Box(region.center, region.size, region.size))
+        assert not any(batch[0] in outer for _, batch in ladders)
+    # the contours that were skipped count the degree, and the descent is the same
+    monkeypatch.setattr(valdist.localize, "_holds_cauchy_disk", lambda region, p: False)
+    for region, encs in zip(regions, skipped):
+        ladders.clear()
+        assert localize_roots(p, region, 1e-10) == encs
+        assert ladders[0][1] == [region]
+    assert sum(e.multiplicity for e in skipped[0]) == p.degree
+    # a box that holds every root but not the Cauchy disk counts by contour
+    # and finds the same roots
+    monkeypatch.undo()
+    half = max(abs(z) for z in np.roots(p.coefficients[::-1])) * (1 + 5e-5)
+    box = Box(0j, half, half)
+    assert not valdist.localize._holds_cauchy_disk(box, p)
+    inner = localize_roots(p, box, 1e-10)
+    assert len(inner) == len(skipped[0])
+    for e in skipped[0]:
+        assert any(
+            abs(e.center - o.center) <= e.radius + o.radius and e.multiplicity == o.multiplicity
+            for o in inner
+        )
 
 
 @pytest.mark.parametrize(

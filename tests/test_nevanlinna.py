@@ -568,6 +568,45 @@ def test_distribution_triple_integrates_each_series_once(monkeypatch):
     assert len(solves) == 3 and set(solves.values()) == {1}
 
 
+def test_nudged_radius_is_integrated_as_a_row_of_its_own(monkeypatch):
+    # the zeros +-1 of z^2 - 1 nudge r = 1; f has no poles, and its 2-points
+    # +-sqrt(3) are clear of the grid, so m(r, inf) and m(r, 2) are taken
+    # on the caller's grid, which the verifier then reads, plus one row at
+    # the nudged radius; m(r, 0) is taken on the used radii
+    rows = []
+    integrate = nevanlinna.integrate_rows
+
+    def counting(fn, a, b, *, abs_tol, knots):
+        rows.append(len(knots))
+        return integrate(fn, a, b, abs_tol=abs_tol, knots=knots)
+
+    monkeypatch.setattr(nevanlinna, "integrate_rows", counting)
+    grid = [0.5, 1.0, 2.0]
+    profiles = build_profile(Z2_MINUS_1, [0, 2, INFINITY], grid)
+    ((_, nudged),) = profiles[0].nudges
+    assert rows == [3, 1, 3, 3, 1]
+    verify_first_fundamental(Z2_MINUS_1, 2, grid)
+    assert rows == [3, 1, 3, 3, 1]
+    # every row is the m of a lone series at its radius; with no poles,
+    # the infinite target's m is T - 0.0, which is m
+    for prof in profiles:
+        assert [row.r for row in prof.rows] == [0.5, nudged, 2.0]
+        for row in prof.rows:
+            algebra._MEMO.clear()
+            assert row.m == nevanlinna._m_series(Z2_MINUS_1, prof.target, [row.r], None)[0]
+
+
+def test_profile_nudged_off_a_double_a_point_keeps_the_used_radii():
+    # the double zero at 1 makes m(1, 0) fail on the caller's grid; the
+    # nudged radius is integrated as before
+    f = RationalFunction.from_polynomial(Polynomial.from_roots([1, 1, -3]))
+    with pytest.raises(QuadratureNotConverged):
+        proximity_m(f, 0, 1.0)
+    (prof,) = build_profile(f, [0], [0.5, 1.0, 2.0])
+    ((_, nudged),) = prof.nudges
+    assert prof.rows[1].m == proximity_m(f, 0, nudged)
+
+
 def test_retained_results_are_slotted_and_otherwise_unchanged():
     f = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-3, 1]))
     grid = log_rgrid(1.0, 1e2, 4)

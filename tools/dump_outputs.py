@@ -13,8 +13,10 @@ build_profile and both fundamental-theorem verifiers on the first block of
 its distribution workload, the same three calls twice over on one f for
 the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
 first block of its growth workload, localize_roots with roots on the
-region's boundary, and counts whose first enumeration circle runs through
-an a-point. A change meant to keep results passes when `cmp` finds the
+region's boundary, counts whose first enumeration circle runs through
+an a-point, localize_roots on regions that hold the Cauchy disk and on
+one that does not, counts below and above a tight Cauchy radius, and
+profiles nudged off a simple and a double a-point. A change meant to keep results passes when `cmp` finds the
 dumps of the parent and the change equal.
 """
 
@@ -85,6 +87,15 @@ BOUNDARY = {
     "disk node": ([1.0, 0.1], UNIT_DISK),
     "box edge pair": ([1 + 0.3j, 1 - 0.3j, 0.1], UNIT_BOX),
 }
+# localize_roots on regions that hold the polynomial's Cauchy disk, whose
+# outer counts are the degree without a contour (the Cauchy box, the Cauchy
+# disk and an off-centre disk around it), and on a box that holds every
+# root but not that disk; z^12 - (z^11 + ... + 1) has its largest root
+# 1.2e-4 (relative) inside its Cauchy bound of 2
+TIGHT_CAUCHY = P([-1.0] * 12 + [1.0])
+CAUCHY = {"complex6": (POLYS["complex6"], 1.6), "tight": (TIGHT_CAUCHY, 1.9999)}
+# a double a-point on the grid circle r = 1, whose m(1, 0) fails
+DOUBLE_ON_GRID = vd.RationalFunction(P.from_roots([1, 1, -3]))
 # counts at r = |z| / 1.002, so that the first enumeration circle runs
 # through z: a conjugate pair of equal modulus that straddles it, and three
 # roots 1e-10 apart at 0.4 + 0.1i
@@ -273,6 +284,8 @@ def library():
     show("proximity_m z2-1 0 1.0", lambda: vd.proximity_m(z2, 0, 1.0))
     show("proximity_m z2-1 inf 1e200", lambda: vd.proximity_m(z2, "inf", 1e200))
     show("profile z2-1 nudged", lambda: vd.build_profile(z2, [0, "inf"], [0.5, 1.0, 2.0]))
+    show("profile z2-1 nudged 0 2 inf", lambda: vd.build_profile(z2, [0, 2, "inf"], [0.5, 1.0, 2.0]))
+    show("profile double a-point nudged", lambda: vd.build_profile(DOUBLE_ON_GRID, [0, "inf"], [0.5, 1.0, 2.0]))
     # the last radius of the series fails after the first one has converged
     show("profile z2-1 last radius 1e200", lambda: vd.build_profile(z2, [0, "inf"], [1.0, 1e200]))
     show("profile hugging", lambda: vd.build_profile(HUGGING, TARGETS, GRID, seed=1))
@@ -309,6 +322,19 @@ def library():
         show(f"verify_degree_growth workload {index}", lambda: vd.verify_degree_growth(p, GRID32))
     for name, (zs, region) in BOUNDARY.items():
         show(f"roots boundary {name}", lambda: vd.localize_roots(P.from_roots(zs), region, 1e-10))
+    for name, (p, half) in CAUCHY.items():
+        radius = (1.0 + max(abs(c) for c in p.coefficients[:-1]) / abs(p.leading)) * (1 + 1e-9)
+        regions = {
+            "Cauchy box": vd.Box(0j, radius, radius),
+            "Cauchy disk": vd.Disk(0j, radius),
+            "off-centre disk": vd.Disk(0.3 - 0.2j, radius + 0.5),
+            "box of the roots": vd.Box(0j, half, half),
+        }
+        for label, region in regions.items():
+            show(f"roots {name} {label}", lambda: vd.localize_roots(p, region, 1e-10))
+    # the first two radii are below the Cauchy radius 2 (a contour), the last above it
+    for r in (1.5, 1.99, 2.5):
+        show(f"count_n tight {r}", lambda: vd.count_n(vd.RationalFunction(TIGHT_CAUCHY), 0, r))
     for name, (f, r) in (("straddle", STRADDLE), ("cluster", CLUSTER)):
         for fn in (vd.count_n, vd.counting_N):
             show(f"{fn.__name__} {name}", lambda: fn(f, 0, r))
