@@ -133,7 +133,7 @@ def _cmd_profile(args) -> int:
     cfg = _checked(QuadratureConfig, args.tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    profiles = build_profile(f, targets, rgrid, cfg, seed=args.seed)
+    profiles = build_profile(f, targets, rgrid, cfg)
     for profile in profiles:
         path = out_dir / f"profile_{profile.target.label()}.csv"
         path.write_text(_profile_csv(profile), encoding="utf-8", newline="\n")
@@ -150,12 +150,12 @@ def _cmd_verify(args) -> int:
         if len(targets) != 1 or targets[0].is_infinite:
             raise _UsageError("verify fft needs exactly one finite target in --a")
         f = _load_function(args.function)
-        report = verify_first_fundamental(f, targets[0], rgrid, cfg, seed=args.seed)
+        report = verify_first_fundamental(f, targets[0], rgrid, cfg)
     elif name == "smt":
         cfg = _checked(QuadratureConfig, args.tol)
         targets = _parse_targets(args.a)
         f = _load_function(args.function)
-        report = verify_second_fundamental(f, targets, rgrid, cfg, seed=args.seed)
+        report = verify_second_fundamental(f, targets, rgrid, cfg)
     elif name == "degree":
         cfg = _checked(QuadratureConfig, args.tol)
         p = _load_polynomial(args.poly)
@@ -177,9 +177,9 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if verdict else EXIT_FAIL
     elif name == "claim1":
         cfg = _checked(QuadratureConfig, args.tol)
-        report = claim1_chain_report(_load_polynomial(args.poly), rgrid, cfg, seed=args.seed)
+        report = claim1_chain_report(_load_polynomial(args.poly), rgrid, cfg)
     else:  # remark reads no quadrature tolerance
-        report = remark_fft_check(_load_polynomial(args.poly), rgrid, seed=args.seed)
+        report = remark_fft_check(_load_polynomial(args.poly), rgrid)
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_OK if report.verdict else EXIT_FAIL
 
@@ -192,7 +192,7 @@ def _cmd_fta_witness(args) -> int:
     p = _load_polynomial(args.poly)
     if not args.tol > 0:
         raise _UsageError("tol must be positive")
-    trace = fta_witness(p, args.tol, seed=args.seed)
+    trace = fta_witness(p, args.tol)
     levels = []
     for lv in trace.claim1_checks:
         entry = {"kind": lv.kind, "shift": _pair(lv.shift), "linear_ratio": lv.linear_ratio}
@@ -226,10 +226,9 @@ _OPTIONS = {
     "--rmax": dict(type=float, default=1e4, help="largest grid radius"),
     "--points": dict(type=int, default=32, help="log-spaced grid size"),
     "--tol": dict(type=float, default=1e-9, help="quadrature absolute tolerance"),
-    "--seed": dict(type=int, default=0, help="seed for contour perturbations"),
     "--out": dict(default=None, help="output path"),
 }
-_FUNCTION_FLAGS = "--function --a --rmin --rmax --points --tol --seed --out"
+_FUNCTION_FLAGS = "--function --a --rmin --rmax --points --tol --out"
 
 
 def _add_command(sub, name, func, flags, summary, **overrides):
@@ -254,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("fft", _FUNCTION_FLAGS, "first fundamental theorem at one finite target"),
         ("smt", _FUNCTION_FLAGS, "second fundamental theorem at three or more targets"),
         ("degree", "--poly --rmin --rmax --points --tol --out", "degree from the growth of T"),
-        ("claim1", "--poly --rmin --rmax --points --tol --seed --out", "restricted-shape chain"),
-        ("remark", "--poly --rmin --rmax --points --seed --out", "N(r,0) grows like deg log r"),
+        ("claim1", "--poly --rmin --rmax --points --tol --out", "restricted-shape chain"),
+        ("remark", "--poly --rmin --rmax --points --out", "N(r,0) grows like deg log r"),
     ):
         _add_command(theorems, name, _cmd_verify, flags, summary)
     _add_command(
-        sub, "fta-witness", _cmd_fta_witness, "--poly --tol --seed --out",
+        sub, "fta-witness", _cmd_fta_witness, "--poly --tol --out",
         "produce a root witness with trace",
         tol=dict(default=1e-10, help="residual tolerance (x coefficient scale)"),
     )
@@ -270,8 +269,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's seed rule; verify degree has no --seed
-            raise _UsageError("expected non-negative integer")
         # overflow surfaces as a valdist error or a result; numpy's warnings only crowd stderr
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -11,13 +11,14 @@ children of a split share each doubling pass, one evaluation per
 polynomial for all of their new nodes; the inner edges they share are
 still evaluated once per side. A region that holds p's Cauchy disk holds
 all deg p roots by Cauchy's bound, so its count is the degree, a theorem
-and not a contour. Localization is a quadtree on boxes: a box whose subdivision line
-would pass through a root is re-split at a pseudo-randomly perturbed
-point, so children always tile their parent exactly and counts stay
-conserved. Once a box is small, a Newton endgame polishes the root and
+and not a contour. Localization is a quadtree on boxes: a box whose
+subdivision line would pass through a root is re-split at the next point
+of a fixed off-centre split ladder, so children always tile their parent
+exactly, counts stay conserved, and the same input always gives the same
+enclosures. Once a box is small, a Newton endgame polishes the root and
 certifies a tiny disk around it by an independent winding count.
-Uncertified companion-matrix root hints only place the first split and
-the start box; winding counts stay the certificate. The witness pipeline
+Uncertified companion-matrix root hints only order the split points and
+stop the start box; winding counts stay the certificate. The witness pipeline
 uses the same descent: of the recentred polynomial's enclosures, it takes
 the one nearest minus the shift, which minimizes the witness modulus.
 
@@ -60,6 +61,13 @@ MAX_BOXES = 50000
 NEWTON_EXACT_ITERS = 8
 # a root hint this close to a line, relative to the box, puts a root on it
 HINT_REL = 1e-4
+# off-centre split points in half-widths, nearest the centre first:
+# 0.4 frac(k phi) - 0.2 for k = 1..7, phi the golden ratio. They are not
+# dyadic, so no line they put in a box with a dyadic centre and a
+# power-of-two half-width falls on an integer or a half-integer, where
+# the roots of integer inputs sit
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+SPLIT_LADDER = tuple(sorted((0.4 * (k * _PHI % 1.0) - 0.2 for k in range(1, 8)), key=abs))
 # enclosure radius, relative to the Cauchy radius, of the witness's root
 # search. The enclosure only seeds Newton; the residual test stays the
 # certificate. 1e-3 loses items, because Newton from a coarse cluster
@@ -457,17 +465,25 @@ def _hint_near(hints, box, xs, ys) -> bool:
     )
 
 
-def _children_counts(counter, box, count, rng, hints):
-    """Split into four tiles whose certified counts sum to the parent's."""
+def _split_points(box, hints):
+    """The centre, then the split ladder outward; a point with a hint on one of its lines goes last.
+
+    Each point's hint test runs only when the split before it failed.
+    """
     cx, cy = box.center.real, box.center.imag
-    # a hint on a centre line moves the centre split behind the random ones
-    first = 1 if _hint_near(hints, box, (cx,), (cy,)) else 0
-    for attempt in range(first, first + 8):
-        if attempt % 8 == 0:
-            sx, sy = cx, cy
+    deferred = []
+    for u in (0.0, *SPLIT_LADDER):
+        sx, sy = cx + u * box.half_re, cy + u * box.half_im
+        if _hint_near(hints, box, (sx,), (sy,)):
+            deferred.append((sx, sy))
         else:
-            sx = cx + float(rng.uniform(-0.2, 0.2)) * box.half_re
-            sy = cy + float(rng.uniform(-0.2, 0.2)) * box.half_im
+            yield sx, sy
+    yield from deferred
+
+
+def _children_counts(counter, box, count, hints):
+    """Split into four tiles whose certified counts sum to the parent's."""
+    for sx, sy in _split_points(box, hints):
         children = box.split_at(sx, sy)
         try:
             counts = counter.certified_all(children)
@@ -501,7 +517,7 @@ def _shrink_start(counter, box, count, hints):
     return box
 
 
-def _isolate(counter, box0, count0, tol, rng, hints):
+def _isolate(counter, box0, count0, tol, hints):
     """Quadtree descent; returns (disk, multiplicity, already_certified) triples."""
     stack = [(box0, count0)]
     finals = []
@@ -522,7 +538,7 @@ def _isolate(counter, box0, count0, tol, rng, hints):
             continue
         if box.diameter <= 256.0 * _EPS * max(1.0, abs(box.center)):
             raise SubdivisionDepthExceeded("box below float resolution before reaching tol")
-        stack.extend(_children_counts(counter, box, count, rng, hints))
+        stack.extend(_children_counts(counter, box, count, hints))
     return finals
 
 
@@ -602,7 +618,7 @@ def _holds_cauchy_disk(region: Region, p: Polynomial) -> bool:
     return abs(c.real) + radius <= region.half_re and abs(c.imag) + radius <= region.half_im
 
 
-def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
+def localize_roots(p: Polynomial, region: Region, tol: float):
     """Certified, pairwise-disjoint root enclosures of p inside the region.
 
     Enclosure disks have radius <= tol, each disk's winding count equals
@@ -620,7 +636,6 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
         raise ConstantPolynomial("cannot localize roots of a constant polynomial")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
     counter = _ContourCounter(p)
     box0 = region if isinstance(region, Box) else Box(region.center, region.radius, region.radius)
     if _holds_cauchy_disk(region, p):
@@ -633,7 +648,7 @@ def localize_roots(p: Polynomial, region: Region, tol: float, *, seed: int = 0):
         box_total = total if box0 is region else _boundary_count(counter, box0)
     hints = _roots_hint(p)
     box0 = _shrink_start(counter, box0, box_total, hints)
-    encs = _merge_certify(counter, _isolate(counter, box0, box_total, tol, rng, hints))
+    encs = _merge_certify(counter, _isolate(counter, box0, box_total, tol, hints))
     on_circle = False
     if isinstance(region, Disk):
         # a root on the circle can snap into its count, and this filter then drops it
@@ -691,16 +706,16 @@ def _quadratic_root(p: Polynomial) -> complex:
     return min(r1, r2, key=lambda z: (z.real, z.imag))
 
 
-def _nearest_root(q: Polynomial, bias: complex, seed: int) -> complex:
+def _nearest_root(q: Polynomial, bias: complex) -> complex:
     """Centre of the certified root enclosure of q nearest ``bias``, inside q's Cauchy disk."""
     radius = _cauchy_radius(q) * (1.0 + 1e-9)
-    encs = localize_roots(q, Box(0j, radius, radius), WITNESS_TOL_REL * radius, seed=seed)
+    encs = localize_roots(q, Box(0j, radius, radius), WITNESS_TOL_REL * radius)
     if not encs:
         raise LocalizationFailed("no roots inside the Cauchy bound")
     return min(encs, key=lambda e: abs(e.center - bias)).center
 
 
-def _witness_recurse(p: Polynomial, seed: int, levels: list) -> complex:
+def _witness_recurse(p: Polynomial, levels: list) -> complex:
     deg = p.degree
     if deg == 1:
         c0, c1 = p.coefficients
@@ -708,7 +723,7 @@ def _witness_recurse(p: Polynomial, seed: int, levels: list) -> complex:
     if deg == 2:
         return _quadratic_root(p)
     dp = p.derivative()
-    h = _witness_recurse(dp, seed, levels)
+    h = _witness_recurse(dp, levels)
     # the sharper the derivative root, the cleaner the linear kill
     h = _newton(dp, dp.derivative(), h)[0]
     q = p.shift(h)
@@ -724,7 +739,7 @@ def _witness_recurse(p: Polynomial, seed: int, levels: list) -> complex:
             dec = claim1_shape_check(q)
             kind = "claim1"
             # the root of q nearest -h minimizes the final witness modulus
-            root = _nearest_root(q, -h, seed)
+            root = _nearest_root(q, -h)
         except BinomialShape as b:
             kind = "binomial"
             base = (-b.constant / b.leading) ** (1.0 / b.degree)
@@ -735,7 +750,7 @@ def _witness_recurse(p: Polynomial, seed: int, levels: list) -> complex:
     return root + h
 
 
-def fta_witness(p: Polynomial, tol: float = 1e-10, *, seed: int = 0) -> WitnessTrace:
+def fta_witness(p: Polynomial, tol: float = 1e-10) -> WitnessTrace:
     """Concrete root witness by the shift-and-localize induction.
 
     Degrees 1 and 2 are closed form. For degree >= 3, a root h of the
@@ -753,7 +768,7 @@ def fta_witness(p: Polynomial, tol: float = 1e-10, *, seed: int = 0) -> WitnessT
     if not tol > 0:
         raise ValueError("tol must be positive")
     levels: list[WitnessLevel] = []
-    w = _witness_recurse(p, seed, levels)
+    w = _witness_recurse(p, levels)
     w = _newton(p, p.derivative(), w)[0]
     residual = abs(p(w))
     scale = p.coefficient_scale

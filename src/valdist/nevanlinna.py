@@ -87,7 +87,7 @@ class _APoint:
     guard: float  # classification slack inherited from the enclosure radius
 
 
-def _apoints(f: RationalFunction, a: TargetValue, radius: float, seed: int = 0):
+def _apoints(f: RationalFunction, a: TargetValue, radius: float):
     """Certified a-points within |z| < radius, coalesced into distinct points."""
     f = _reduced(f)
     g = _target_poly(f, a)
@@ -96,7 +96,7 @@ def _apoints(f: RationalFunction, a: TargetValue, radius: float, seed: int = 0):
     # every root lies inside the Cauchy disk, so clip huge requests to it
     radius_eff = min(radius, _cauchy_radius(g) * (1.0 + 1e-6))
     tol = 1e-10 * max(1.0, radius_eff)
-    encs = localize_roots(g, Disk(0j, radius_eff), tol, seed=seed)
+    encs = localize_roots(g, Disk(0j, radius_eff), tol)
 
     # coalesce clusters that are one geometric point at desk resolution
     def close(p1, p2):
@@ -111,9 +111,9 @@ def _apoints(f: RationalFunction, a: TargetValue, radius: float, seed: int = 0):
     return [_APoint(z, abs(z), m, g) for z, m, g in pts]
 
 
-def enumerate_a_points(f: RationalFunction, a, radius: float, *, seed: int = 0):
+def enumerate_a_points(f: RationalFunction, a, radius: float):
     """Certified a-points of f with |z| < radius, as (point, multiplicity)."""
-    return [(p.z, p.multiplicity) for p in _apoints(f, as_target(a), radius, seed=seed)]
+    return [(p.z, p.multiplicity) for p in _apoints(f, as_target(a), radius)]
 
 
 def _guard_hit(pts, r: float) -> bool:
@@ -148,7 +148,7 @@ def _N_at(pts, r: float, reduced: bool) -> float:
     return total + n0 * math.log(r)
 
 
-def _points_past(f: RationalFunction, a, r: float, seed: int):
+def _points_past(f: RationalFunction, a, r: float):
     """Enumerate a-points on a disk slightly larger than r.
 
     The margin keeps the enumeration contour clear of a-points that sit on
@@ -162,27 +162,27 @@ def _points_past(f: RationalFunction, a, r: float, seed: int):
     last = None
     for bump in (2e-3, 3.4e-3, 5.9e-3, 9.7e-3):
         try:
-            return _apoints(f, a, r * (1.0 + bump), seed=seed)
+            return _apoints(f, a, r * (1.0 + bump))
         except RootOnBoundary as exc:
             last = exc
     raise last
 
 
-def count_n(f: RationalFunction, a, r: float, reduced: bool = False, *, seed: int = 0) -> int:
+def count_n(f: RationalFunction, a, r: float, reduced: bool = False) -> int:
     """Number of a-points in |z| < r (distinct points when ``reduced``)."""
-    pts = _points_past(f, a, r, seed)
+    pts = _points_past(f, a, r)
     if _guard_hit(pts, r):
         raise BoundaryCoincidence(f"an a-point sits in the guard band of |z| = {r:g}")
     return _count_at(pts, r, reduced)
 
 
-def counting_N(f: RationalFunction, a, r: float, reduced: bool = False, *, seed: int = 0) -> float:
+def counting_N(f: RationalFunction, a, r: float, reduced: bool = False) -> float:
     """Integrated counting function, evaluated by the closed-form sum.
 
     The t-integral of the step count integrates exactly to
     sum_j w_j log(r/|z_j|) over 0 < |z_j| < r plus n(0) log r.
     """
-    return _N_at(_points_past(f, a, r, seed), r, reduced)
+    return _N_at(_points_past(f, a, r), r, reduced)
 
 
 def counting_N_integral(
@@ -191,11 +191,9 @@ def counting_N_integral(
     r: float,
     cfg: QuadratureConfig | None = None,
     reduced: bool = False,
-    *,
-    seed: int = 0,
 ) -> float:
     """Independent route: numeric integration of (n(t) - n(0))/t over (0, r]."""
-    pts = _points_past(f, a, r, seed)
+    pts = _points_past(f, a, r)
     cfg = cfg or DEFAULT_QUADRATURE
     n0 = _origin_weight(pts, reduced)
     steps = sorted((p.modulus, 1 if reduced else p.multiplicity) for p in pts if not _at_origin(p))
@@ -296,14 +294,12 @@ def _t_series(f: RationalFunction, radii, cfg, pts_inf) -> list:
     return [m + _N_at(pts_inf, r, False) for r, m in zip(radii, _m_series(f, INFINITY, radii, cfg))]
 
 
-def characteristic_T(
-    f: RationalFunction, r: float, cfg: QuadratureConfig | None = None, *, seed: int = 0
-) -> float:
+def characteristic_T(f: RationalFunction, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Growth gauge: proximity to infinity plus integrated pole count."""
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("the characteristic needs a non-constant function")
-    return _t_series(f, [r], cfg, _points_past(f, INFINITY, r, seed))[0]
+    return _t_series(f, [r], cfg, _points_past(f, INFINITY, r))[0]
 
 
 def _check_grid(rgrid) -> list:
@@ -318,13 +314,13 @@ def _check_grid(rgrid) -> list:
     return rgrid
 
 
-def _grid_apoints(f: RationalFunction, targets, rgrid, seed: int) -> dict:
+def _grid_apoints(f: RationalFunction, targets, rgrid) -> dict:
     """A-points of each target and of infinity, enumerated once past the top radius."""
     radius = rgrid[-1] * 1.01
     pts = {}
     for a in [*targets, INFINITY]:
         if a not in pts:
-            pts[a] = _apoints(f, a, radius, seed=seed)
+            pts[a] = _apoints(f, a, radius)
     return pts
 
 
@@ -368,14 +364,7 @@ class NevanlinnaProfile:
     nudges: tuple  # (requested r, used r) pairs for boundary-coincident rows
 
 
-def build_profile(
-    f: RationalFunction,
-    targets,
-    rgrid,
-    cfg: QuadratureConfig | None = None,
-    *,
-    seed: int = 0,
-):
+def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | None = None):
     """One profile per target; a-points are enumerated once at the top radius.
 
     Grid radii that put an a-point in the guard band are nudged upward by
@@ -388,7 +377,7 @@ def build_profile(
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("profiles need a non-constant function")
-    cache = _grid_apoints(f, targets, rgrid, seed)
+    cache = _grid_apoints(f, targets, rgrid)
 
     used_r = []
     nudges = []

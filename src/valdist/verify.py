@@ -93,9 +93,9 @@ def _check_grid(rgrid, two_decades: bool = False):
     return rgrid
 
 
-def _grid_zeros(p: Polynomial, rgrid, seed: int):
+def _grid_zeros(p: Polynomial, rgrid):
     zero = TargetValue.finite(0.0)
-    return _grid_apoints(RationalFunction.from_polynomial(p), [zero], rgrid, seed)[zero]
+    return _grid_apoints(RationalFunction.from_polynomial(p), [zero], rgrid)[zero]
 
 
 def _smt_allowance(c_s: float, r: float) -> float:
@@ -129,12 +129,7 @@ def jensen_constant(f: RationalFunction, a) -> float:
 
 
 def verify_first_fundamental(
-    f: RationalFunction,
-    a,
-    rgrid,
-    cfg: QuadratureConfig | None = None,
-    *,
-    seed: int = 0,
+    f: RationalFunction, a, rgrid, cfg: QuadratureConfig | None = None
 ) -> DeviationReport:
     """Deviation [m(r,a) + N(r,a)] - T(r,f): bounded, eventually constant.
 
@@ -149,7 +144,7 @@ def verify_first_fundamental(
     f = _reduced(f)
     if f.is_constant:
         raise ConstantFunction("first-fundamental verification needs a non-constant f")
-    pts = _grid_apoints(f, [a], rgrid, seed)
+    pts = _grid_apoints(f, [a], rgrid)
     t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     m_vals = _m_series(f, a, rgrid, cfg)
     series = [m + _N_at(pts[a], r, False) - t for r, m, t in zip(rgrid, m_vals, t_vals)]
@@ -205,12 +200,7 @@ def degree_verdict(slope: float, degree: int) -> tuple[int, bool]:
 
 
 def verify_second_fundamental(
-    f: RationalFunction,
-    targets,
-    rgrid,
-    cfg: QuadratureConfig | None = None,
-    *,
-    seed: int = 0,
+    f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | None = None
 ) -> DeviationReport:
     """Slack sum_j Nbar(r, a_j) - (q - 2) T(r, f) against the error allowance.
 
@@ -236,7 +226,7 @@ def verify_second_fundamental(
     if f.is_constant:
         raise ConstantFunction("second-fundamental verification needs a non-constant f")
     c_s = 4.0 * (q + f.numerator.degree + f.denominator.degree)
-    pts = _grid_apoints(f, targets, rgrid, seed)
+    pts = _grid_apoints(f, targets, rgrid)
     t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     series = []
     allowance = []
@@ -259,11 +249,7 @@ def verify_second_fundamental(
 
 
 def claim1_chain_report(
-    q: Polynomial,
-    rgrid,
-    cfg: QuadratureConfig | None = None,
-    *,
-    seed: int = 0,
+    q: Polynomial, rgrid, cfg: QuadratureConfig | None = None
 ) -> DeviationReport:
     """Measure every link of the restricted-shape chain on F = z^l R.
 
@@ -279,10 +265,10 @@ def claim1_chain_report(
     ratio = (m - l + 1) / m
     f_big = RationalFunction.from_polynomial(dec.F)
     target, zero = TargetValue.finite(-dec.bm), TargetValue.finite(0.0)
-    pts_f = _grid_apoints(f_big, [target, zero], rgrid, seed)
+    pts_f = _grid_apoints(f_big, [target, zero], rgrid)
     pts_target, pts_zero_f, pts_inf = pts_f[target], pts_f[zero], pts_f[INFINITY]
-    pts_zl = _grid_zeros(Polynomial([0j] * l + [1.0]), rgrid, seed)
-    pts_r = _grid_zeros(dec.R, rgrid, seed)
+    pts_zl = _grid_zeros(Polynomial([0j] * l + [1.0]), rgrid)
+    pts_r = _grid_zeros(dec.R, rgrid)
     t_vals = _t_series(f_big, rgrid, cfg, pts_inf)
 
     series = []
@@ -336,7 +322,7 @@ def claim1_chain_report(
     )
 
 
-def remark_fft_check(p: Polynomial, rgrid, *, seed: int = 0) -> DeviationReport:
+def remark_fft_check(p: Polynomial, rgrid) -> DeviationReport:
     """N(r, 0; p) - deg(p) log r must flatten out.
 
     A zero-free polynomial would freeze N at zero while the characteristic
@@ -346,7 +332,7 @@ def remark_fft_check(p: Polynomial, rgrid, *, seed: int = 0) -> DeviationReport:
     if p.degree == 0:
         raise ConstantPolynomial("remark check needs a non-constant polynomial")
     rgrid = _check_grid(rgrid)
-    pts = _grid_zeros(p, rgrid, seed)
+    pts = _grid_zeros(p, rgrid)
     series = [_N_at(pts, r, False) - p.degree * math.log(r) for r in rgrid]
     drift = _tail_drift(series)
     return DeviationReport(

@@ -194,13 +194,13 @@ def test_unknown_theorem_is_usage_error(square_file):
 
 
 COMMAND_FLAGS = {
-    ("profile",): "--function --a --rmin --rmax --points --tol --seed --out",
-    ("verify", "fft"): "--function --a --rmin --rmax --points --tol --seed --out",
-    ("verify", "smt"): "--function --a --rmin --rmax --points --tol --seed --out",
+    ("profile",): "--function --a --rmin --rmax --points --tol --out",
+    ("verify", "fft"): "--function --a --rmin --rmax --points --tol --out",
+    ("verify", "smt"): "--function --a --rmin --rmax --points --tol --out",
     ("verify", "degree"): "--poly --rmin --rmax --points --tol --out",
-    ("verify", "claim1"): "--poly --rmin --rmax --points --tol --seed --out",
-    ("verify", "remark"): "--poly --rmin --rmax --points --seed --out",
-    ("fta-witness",): "--poly --tol --seed --out",
+    ("verify", "claim1"): "--poly --rmin --rmax --points --tol --out",
+    ("verify", "remark"): "--poly --rmin --rmax --points --out",
+    ("fta-witness",): "--poly --tol --out",
 }
 
 
@@ -259,12 +259,13 @@ def test_non_numeric_coefficient_in_function_file(tmp_path, capsys, entry, messa
     assert capsys.readouterr().err == f"error: bad function file {path}: {message}\n"
 
 
-# a bad --tol, --seed or grid is an input error with the input check's own
-# message; a ValueError raised inside a computation is not
+# a bad --tol or grid is an input error with the input check's own
+# message; a ValueError raised inside a computation is not. No command
+# takes --seed, so argparse rejects it after its usage line
 INPUT_CHECKS = {
     "tol": ("verify fft --function {f} --a 1 --tol 0", "abs_tol must be positive"),
     "witness tol": ("fta-witness --poly {p} --tol -1", "tol must be positive"),
-    "seed": ("profile --function {f} --a 0 --seed -1 --out {out}", "expected non-negative integer"),
+    "seed": ("profile --function {f} --a 0 --seed 0", "unrecognized arguments: --seed 0"),
     "span": ("verify degree --poly {p} --rmax 10", "rgrid must span at least two decades"),
     "grid": ("verify remark --poly {p} --rmax inf", "rgrid must be strictly increasing"),
 }
@@ -273,8 +274,15 @@ INPUT_CHECKS = {
 @pytest.mark.parametrize("argv, message", list(INPUT_CHECKS.values()), ids=list(INPUT_CHECKS))
 def test_input_check_is_usage_error(tmp_path, capsys, square_file, argv, message):
     argv = argv.format(f=square_file, p=square_file, out=tmp_path / "x").split()
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own check
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    if err.startswith("usage: valdist "):
+        err = err.split("\nvaldist: ", 1)[1]
+    assert err == f"error: {message}\n"
 
 
 # argvs whose float edges make numpy overflow or meet invalid values:

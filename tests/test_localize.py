@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import valdist
 import valdist.localize
 from valdist import (
     Box,
@@ -20,12 +22,14 @@ from valdist import (
 
 from valdist.localize import (
     LOCKSTEP_NODES,
+    SPLIT_LADDER,
     WINDING_MAX_NODES,
     WINDING_START_NODES,
     _cauchy_radius,
     _ContourCounter,
     _endgame,
     _newton,
+    _split_points,
 )
 
 from conftest import make_rng, random_factored, random_polynomial, random_rational
@@ -570,6 +574,60 @@ def test_hint_screen_ignores_nan_and_survives_wrong_hints(monkeypatch):
     assert all(abs(g.center - w.center) < 1e-9 for g, w in zip(got, want))
 
 
+def test_split_points_try_the_centre_first_and_hinted_points_last(monkeypatch):
+    box = Box(0.5 + 0.25j, 0.25, 0.25)
+    points = list(_split_points(box, []))
+    assert points[0] == (0.5, 0.25)
+    assert len(set(points)) == len(points) == 1 + len(SPLIT_LADDER)
+    steps = [abs(sx - 0.5) for sx, _ in points]
+    assert steps == sorted(steps)
+    # a hint on the centre's line x = 0.5, then one on the first ladder
+    # point's line y = sy: that point goes last, the rest keep their order
+    assert list(_split_points(box, [0.5 + 0.4j])) == points[1:] + points[:1]
+    hint = complex(0.3, points[1][1])
+    assert list(_split_points(box, [hint])) == points[:1] + points[2:] + points[1:2]
+    # a split whose centre certifies makes one hint test
+    tests = _count_calls(monkeypatch, valdist.localize, "_hint_near")
+    assert next(_split_points(box, [hint])) == points[0]
+    assert len(tests) == 1
+
+
+def test_split_ladder_lines_miss_integers_and_half_integers():
+    # the roots of integer inputs sit on half-integers, and boxes that
+    # start at a power-of-two half-width keep dyadic centres
+    for e in range(-8, 12):
+        half = 2.0**e
+        for k in range(-64, 65):
+            for j in range(8):
+                centre = k / 2**j
+                for u in SPLIT_LADDER:
+                    line = 2.0 * (centre + u * half)
+                    assert line != round(line), (centre, half, u)
+
+
+def test_localize_and_witness_draw_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for coeffs, _ in ROOTS_ITEMS.values():
+        p = Polynomial(coeffs)
+        runs = [(localize_roots(p, _cauchy_box(p), 1e-10), fta_witness(p, 1e-10)) for _ in "ab"]
+        encs, trace = runs[0]
+        assert sum(e.multiplicity for e in encs) == p.degree
+        assert trace.residual <= 1e-10 * p.coefficient_scale
+        assert repr(runs[0]) == repr(runs[1])
+
+
+def test_no_public_callable_takes_a_seed():
+    for name in valdist.__all__:
+        try:
+            params = inspect.signature(getattr(valdist, name)).parameters
+        except (TypeError, ValueError):  # not callable, or a builtin's constructor
+            continue
+        assert "seed" not in params, name
+
+
 # -- Newton and the endgame gate -----------------------------------------------
 
 
@@ -682,9 +740,7 @@ def test_witness_rejects_constant():
 
 
 def test_witness_rejects_nan_residual(monkeypatch):
-    monkeypatch.setattr(
-        valdist.localize, "_witness_recurse", lambda p, seed, levels: complex("nan")
-    )
+    monkeypatch.setattr(valdist.localize, "_witness_recurse", lambda p, levels: complex("nan"))
     with pytest.raises(LocalizationFailed):
         fta_witness(Polynomial([1, -3, 0, 1]))
 

@@ -1,8 +1,9 @@
 """Usage: python tools/dump_outputs.py <checkout> <out>
 
-Writes to <out> full-precision reprs of a fixed, seeded call set run on
-valdist from <checkout>/src: the README CLI commands and four input
-errors, profiles, verifiers, counting functions, the proximity integrand's
+Writes to <out> full-precision reprs of a fixed call set run on valdist
+from <checkout>/src: the README CLI commands and four input errors (one
+of them argparse's, for the --seed flag that no command takes),
+profiles, verifiers, counting functions, the proximity integrand's
 nudge and give-up paths, multi-radius m-series (knot ladders around
 a-points that hug grid circles, a series whose last radius fails, the
 growth workload's 32-point grid), root cancellation, winding counts on contours that
@@ -241,13 +242,14 @@ CLI = [
     ["profile", "--function", "readme.json", "--a", "0,0.5,inf", "--points", "16", "--out", "t2"],
     ["verify", "fft", "--function", "z2.json", "--a", "1", "--out", "fft.json"],
     ["verify", "smt", "--function", "z2.json", "--a", "0,1,inf"],
-    ["verify", "smt", "--function", "readme.json", "--a", "0,0.5,inf", "--seed", "3"],
+    ["verify", "smt", "--function", "readme.json", "--a", "0,0.5,inf"],
     ["verify", "degree", "--poly", "z2.json"],
     ["verify", "claim1", "--poly", "cubic.json"],
     ["verify", "remark", "--poly", "z2.json"],
     ["verify", "smt", "--function", "z2.json", "--a", "0,inf"],
     ["fta-witness", "--poly", "cubic.json", "--tol", "1e-10", "--out", "witness.json"],
-    # input errors: exit 2 with the input check's own message
+    # input errors: exit 2 with the input check's own message, or
+    # argparse's usage error for an unknown flag
     ["verify", "fft", "--function", "z2.json", "--a", "1", "--tol", "0"],
     ["fta-witness", "--poly", "cubic.json", "--tol", "-1"],
     ["verify", "remark", "--poly", "z2.json", "--seed", "-1"],
@@ -265,9 +267,9 @@ def show(label, call):
 
 def library():
     for name, f in FUNCTIONS.items():
-        show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID, seed=1))
+        show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID))
         show(f"fft {name}", lambda: vd.verify_first_fundamental(f, 0.5, GRID))
-        show(f"smt {name}", lambda: vd.verify_second_fundamental(f, TARGETS, GRID, seed=2))
+        show(f"smt {name}", lambda: vd.verify_second_fundamental(f, TARGETS, GRID))
         for a in TARGETS:
             show(f"points {name} {a}", lambda: vd.enumerate_a_points(f, a, 50.0))
             for r in (0.5, 3.0, 40.0):
@@ -276,7 +278,7 @@ def library():
         show(f"T {name}", lambda: [vd.characteristic_T(f, r) for r in GRID])
     for name, f in CANCELLING.items():
         show(f"reduce {name}", lambda: vd.reduce_common_roots(f))
-        show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID, seed=1))
+        show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID))
     # edge paths of the proximity integrand: the a-points +-1 sit on sample
     # angles (nudged samples), |g| overflows on the whole circle at r = 1e200
     # (the nudges give up), and a profile whose grid radius 1 is nudged
@@ -288,14 +290,14 @@ def library():
     show("profile double a-point nudged", lambda: vd.build_profile(DOUBLE_ON_GRID, [0, "inf"], [0.5, 1.0, 2.0]))
     # the last radius of the series fails after the first one has converged
     show("profile z2-1 last radius 1e200", lambda: vd.build_profile(z2, [0, "inf"], [1.0, 1e200]))
-    show("profile hugging", lambda: vd.build_profile(HUGGING, TARGETS, GRID, seed=1))
+    show("profile hugging", lambda: vd.build_profile(HUGGING, TARGETS, GRID))
     for name in ("cubic", "quartic", "complex6"):
         show(f"verify_degree_growth {name} 32", lambda: vd.verify_degree_growth(POLYS[name], GRID32))
     for name, (f, region) in CONTOURS.items():
         show(f"winding {name}", lambda: vd.winding_count(f, region))
     for name, p in POLYS.items():
-        show(f"roots {name}", lambda: vd.localize_roots(p, vd.Box(0j, 4.0, 4.0), 1e-10, seed=5))
-        show(f"witness {name}", lambda: vd.fta_witness(p, seed=5))
+        show(f"roots {name}", lambda: vd.localize_roots(p, vd.Box(0j, 4.0, 4.0), 1e-10))
+        show(f"witness {name}", lambda: vd.fta_witness(p))
         for fn in (vd.verify_degree_growth, vd.claim1_chain_report, vd.remark_fft_check):
             show(f"{fn.__name__} {name}", lambda: fn(p, GRID))
     for index, coeffs in ROOTS_WORKLOAD.items():
@@ -347,7 +349,10 @@ def command_line():
         for argv in CLI:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
-                code = cli(argv)
+                try:
+                    code = cli(argv)
+                except SystemExit as exc:  # argparse's own usage errors
+                    code = exc.code
             print(f"## valdist {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
             for path in sorted(q for q in Path(".").rglob("*") if q.is_file() and q.name not in INPUTS):
                 print(f"# {path}\n{path.read_text()}")
