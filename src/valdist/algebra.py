@@ -408,11 +408,12 @@ class RationalFunction:
         return max(self.numerator.degree, self.denominator.degree)
 
     def reduce(self) -> "RationalFunction":
-        return reduce_common_roots(self)
+        """self if already reduced, else ``reduce_common_roots(self)``."""
+        return self if self.reduced else reduce_common_roots(self)
 
     @property
     def is_constant(self) -> bool:
-        f = self if self.reduced else self.reduce()
+        f = self.reduce()
         return f.numerator.degree == 0 and f.denominator.degree == 0
 
 

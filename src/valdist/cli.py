@@ -144,20 +144,19 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     rgrid = _checked(log_rgrid, args.rmin, args.rmax, args.points)
     name = args.theorem
+    # remark reads no quadrature tolerance
+    cfg = None if name == "remark" else _checked(QuadratureConfig, args.tol)
     if name == "fft":
-        cfg = _checked(QuadratureConfig, args.tol)
         targets = _parse_targets(args.a)
         if len(targets) != 1 or targets[0].is_infinite:
             raise _UsageError("verify fft needs exactly one finite target in --a")
         f = _load_function(args.function)
         report = verify_first_fundamental(f, targets[0], rgrid, cfg)
     elif name == "smt":
-        cfg = _checked(QuadratureConfig, args.tol)
         targets = _parse_targets(args.a)
         f = _load_function(args.function)
         report = verify_second_fundamental(f, targets, rgrid, cfg)
     elif name == "degree":
-        cfg = _checked(QuadratureConfig, args.tol)
         p = _load_polynomial(args.poly)
         fit = verify_degree_growth(p, _checked(_check_grid, rgrid, two_decades=True), cfg)
         rounded, verdict = degree_verdict(fit.slope, p.degree)
@@ -176,9 +175,8 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_OK if verdict else EXIT_FAIL
     elif name == "claim1":
-        cfg = _checked(QuadratureConfig, args.tol)
         report = claim1_chain_report(_load_polynomial(args.poly), rgrid, cfg)
-    else:  # remark reads no quadrature tolerance
+    else:
         report = remark_fft_check(_load_polynomial(args.poly), rgrid)
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_OK if report.verdict else EXIT_FAIL

@@ -32,6 +32,7 @@ astride a disk's circle. A caller may move the region, as
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,33 +168,23 @@ class RootEnclosure:
 # in exact dyadic arithmetic before they feed a certificate
 _RELIABLE_FACTOR = 64.0 * _EPS
 
-# Nodes that each pass of the doubling adds, keyed by node count (circle)
-# or by intervals per edge (box): the whole rule at the start, after that
+
+# Nodes that each pass of the doubling adds, cached per node count (circle)
+# or per intervals per edge (box): the whole rule at the start, after that
 # only the odd-index nodes, which the previous rule does not contain
-_CIRCLE_CACHE: dict = {}
-_SEGMENT_CACHE: dict = {}
-
-
+@functools.cache
 def _unit_circle(n: int) -> np.ndarray:
     """exp(2 pi i k / n) for the k the n-node circle rule adds."""
-    e = _CIRCLE_CACHE.get(n)
-    if e is None:
-        k = np.arange(n) if n == WINDING_START_NODES else np.arange(1, n, 2)
-        e = np.exp(2j * np.pi * k / n)
-        _CIRCLE_CACHE[n] = e
-    return e
+    k = np.arange(n) if n == WINDING_START_NODES else np.arange(1, n, 2)
+    return np.exp(2j * np.pi * k / n)
 
 
+@functools.cache
 def _unit_segment(m: int) -> np.ndarray:
     """Abscissae j / m in [0, 1] that the m-interval edge rule adds."""
-    t = _SEGMENT_CACHE.get(m)
-    if t is None:
-        if 4 * m == WINDING_START_NODES:
-            t = np.linspace(0.0, 1.0, m + 1)
-        else:
-            t = np.arange(1, m, 2) / m
-        _SEGMENT_CACHE[m] = t
-    return t
+    if 4 * m == WINDING_START_NODES:
+        return np.linspace(0.0, 1.0, m + 1)
+    return np.arange(1, m, 2) / m
 
 
 def _eval_repaired(poly: Polynomial, z: np.ndarray, z_abs: np.ndarray, z_max: float):
@@ -375,8 +366,7 @@ def winding_count(f, region: Region) -> int:
     """Number of zeros minus poles of f inside the region, with multiplicity."""
     if isinstance(f, Polynomial):
         f = RationalFunction.from_polynomial(f)
-    if not f.reduced:
-        f = f.reduce()
+    f = f.reduce()
     return _ContourCounter(f.numerator, f.denominator).certified(region)
 
 

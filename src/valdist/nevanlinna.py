@@ -51,6 +51,9 @@ NUDGE_FACTOR = 1.0 + 1e-9
 # a-points closer than this (relative) are one geometric point for the
 # reduced counts; matches the cancellation tolerance of the algebra layer
 COALESCE_REL = 1e-8
+# relative bumps of the enumeration circle past the radius asked for, tried
+# in turn while an a-point lies on the circle; the first gives r * 1.01
+ENUMERATION_BUMPS = (1e-2, 1.7e-2, 2.9e-2, 4.9e-2)
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,6 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-def _reduced(f: RationalFunction) -> RationalFunction:
-    return f if f.reduced else f.reduce()
 
 
 def _target_poly(f: RationalFunction, a: TargetValue) -> Polynomial:
@@ -88,8 +87,7 @@ class _APoint:
 
 
 def _apoints(f: RationalFunction, a: TargetValue, radius: float):
-    """Certified a-points within |z| < radius, coalesced into distinct points."""
-    f = _reduced(f)
+    """Certified a-points of the reduced f within |z| < radius, coalesced into distinct points."""
     g = _target_poly(f, a)
     if g.degree == 0:
         return []
@@ -111,13 +109,9 @@ def _apoints(f: RationalFunction, a: TargetValue, radius: float):
     return [_APoint(z, abs(z), m, g) for z, m, g in pts]
 
 
-def enumerate_a_points(f: RationalFunction, a, radius: float):
-    """Certified a-points of f with |z| < radius, as (point, multiplicity)."""
-    return [(p.z, p.multiplicity) for p in _apoints(f, as_target(a), radius)]
-
-
 def _guard_hit(pts, r: float) -> bool:
-    return any(abs(p.modulus - r) <= max(BOUNDARY_GUARD_REL * r, p.guard) for p in pts)
+    # no a-point lies on the circle of an infinite radius
+    return math.isfinite(r) and any(abs(p.modulus - r) <= max(BOUNDARY_GUARD_REL * r, p.guard) for p in pts)
 
 
 def _count_at(pts, r: float, reduced: bool) -> int:
@@ -149,23 +143,38 @@ def _N_at(pts, r: float, reduced: bool) -> float:
 
 
 def _points_past(f: RationalFunction, a, r: float):
-    """Enumerate a-points on a disk slightly larger than r.
+    """Certified a-points on the disk of radius r (1 + bump): the one enumeration rule.
 
-    The margin keeps the enumeration contour clear of a-points that sit on
-    (or near) |z| = r itself; successive bumps dodge moduli that happen to
-    land on the enlarged circle instead.
+    The first bump keeps the contour clear of a-points on or near |z| = r.
+    While an a-point lies on the enlarged circle (RootOnBoundary), the next
+    bump moves past it; the last bump's error propagates. Single radii,
+    grids (past their top radius) and ``enumerate_a_points`` all enumerate
+    here.
     """
     a = as_target(a)
     if not r > 0:
         raise ValueError("r must be positive")
-    f = _reduced(f)
+    f = f.reduce()
     last = None
-    for bump in (2e-3, 3.4e-3, 5.9e-3, 9.7e-3):
+    for bump in ENUMERATION_BUMPS:
         try:
             return _apoints(f, a, r * (1.0 + bump))
         except RootOnBoundary as exc:
             last = exc
     raise last
+
+
+def enumerate_a_points(f: RationalFunction, a, radius: float):
+    """Certified a-points of f with |z| < radius, as (point, multiplicity).
+
+    They are enumerated past ``radius`` (``_points_past``), so an a-point on
+    the circle |z| = radius does not stop the enumeration; one in its guard
+    band raises BoundaryCoincidence, as ``count_n`` does.
+    """
+    pts = _points_past(f, a, radius)
+    if _guard_hit(pts, radius):
+        raise BoundaryCoincidence(f"an a-point sits in the guard band of |z| = {radius:g}")
+    return [(p.z, p.multiplicity) for p in pts if p.modulus < radius]
 
 
 def count_n(f: RationalFunction, a, r: float, reduced: bool = False) -> int:
@@ -258,7 +267,7 @@ def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
     returns exactly what it would. g and its root hints are built once.
     """
     cfg = cfg or DEFAULT_QUADRATURE
-    f = _reduced(f)
+    f = f.reduce()
     gn, gd = (f.numerator, f.denominator) if a.is_infinite else (f.denominator, _target_poly(f, a))
     r_row = np.asarray(radii, dtype=float)
     abs_tol = float(cfg.abs_tol)
@@ -296,7 +305,7 @@ def _t_series(f: RationalFunction, radii, cfg, pts_inf) -> list:
 
 def characteristic_T(f: RationalFunction, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Growth gauge: proximity to infinity plus integrated pole count."""
-    f = _reduced(f)
+    f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("the characteristic needs a non-constant function")
     return _t_series(f, [r], cfg, _points_past(f, INFINITY, r))[0]
@@ -315,13 +324,8 @@ def _check_grid(rgrid) -> list:
 
 
 def _grid_apoints(f: RationalFunction, targets, rgrid) -> dict:
-    """A-points of each target and of infinity, enumerated once past the top radius."""
-    radius = rgrid[-1] * 1.01
-    pts = {}
-    for a in [*targets, INFINITY]:
-        if a not in pts:
-            pts[a] = _apoints(f, a, radius)
-    return pts
+    """A-points of each target and of infinity, from ``_points_past`` at the top radius."""
+    return {a: _points_past(f, a, rgrid[-1]) for a in dict.fromkeys([*targets, INFINITY])}
 
 
 def _m_nudged(f: RationalFunction, a: TargetValue, pts, rgrid, used_r, cfg) -> list:
@@ -374,7 +378,7 @@ def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | N
     if not targets:
         return []
     rgrid = _check_grid(rgrid)
-    f = _reduced(f)
+    f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("profiles need a non-constant function")
     cache = _grid_apoints(f, targets, rgrid)

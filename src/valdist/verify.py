@@ -15,10 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nevanlinna
-from .algebra import (  # noqa: F401  (the shape-check names are re-exported)
+from .algebra import (
     INFINITY,
-    SHAPE_TOL_REL,
-    Claim1Decomposition,
     Polynomial,
     RationalFunction,
     TargetValue,
@@ -31,7 +29,7 @@ from .nevanlinna import (
     _grid_apoints,
     _m_series,
     _N_at,
-    _reduced,
+    _points_past,
     _t_series,
     _target_poly,
 )
@@ -94,8 +92,7 @@ def _check_grid(rgrid, two_decades: bool = False):
 
 
 def _grid_zeros(p: Polynomial, rgrid):
-    zero = TargetValue.finite(0.0)
-    return _grid_apoints(RationalFunction.from_polynomial(p), [zero], rgrid)[zero]
+    return _points_past(RationalFunction.from_polynomial(p), 0.0, rgrid[-1])
 
 
 def _smt_allowance(c_s: float, r: float) -> float:
@@ -122,7 +119,7 @@ def jensen_constant(f: RationalFunction, a) -> float:
     a = as_target(a)
     if a.is_infinite:
         raise ValueError("the Jensen constant is defined for finite targets")
-    f = _reduced(f)
+    f = f.reduce()
     _, cn = _lowest_nonzero(_target_poly(f, a))
     _, cd = _lowest_nonzero(f.denominator)
     return math.log(abs(cn / cd))
@@ -141,7 +138,7 @@ def verify_first_fundamental(
     if a.is_infinite:
         raise ValueError("the infinite target is the identity case; pass a finite a")
     rgrid = _check_grid(rgrid)
-    f = _reduced(f)
+    f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("first-fundamental verification needs a non-constant f")
     pts = _grid_apoints(f, [a], rgrid)
@@ -222,7 +219,7 @@ def verify_second_fundamental(
                 if abs(ti.value - tj.value) <= 1e-12 * max(1.0, abs(ti.value)):
                     raise DuplicateTargets(f"targets {ti.label()} and {tj.label()} coincide")
     rgrid = _check_grid(rgrid)
-    f = _reduced(f)
+    f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("second-fundamental verification needs a non-constant f")
     c_s = 4.0 * (q + f.numerator.degree + f.denominator.degree)

@@ -220,6 +220,16 @@ def test_reduce_disjoint_roots_untouched():
     assert g.denominator == f.denominator
 
 
+def test_reduce_returns_a_reduced_function_itself():
+    f = RationalFunction(Polynomial([1, 0, 1]), Polynomial([-3, 1])).reduce()
+    assert f.reduce() is f
+    p = RationalFunction.from_polynomial(Polynomial([1, 1]))
+    assert p.reduce() is p
+    # the module function always recomputes
+    g = reduce_common_roots(f)
+    assert g is not f and g == f
+
+
 def test_reduce_respects_multiplicity():
     f = RationalFunction(Polynomial.from_roots([1, 1]), Polynomial.from_roots([1]))
     g = f.reduce()

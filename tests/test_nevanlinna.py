@@ -27,6 +27,7 @@ from valdist import (
     enumerate_a_points,
     log_rgrid,
     proximity_m,
+    remark_fft_check,
     verify_degree_growth,
     verify_first_fundamental,
     verify_second_fundamental,
@@ -72,6 +73,23 @@ def test_enumerate_respects_radius():
     f = as_rf(*Polynomial.from_roots([0.5, 3.0]).coefficients)
     pts = enumerate_a_points(f, 0, 1.0)
     assert len(pts) == 1 and abs(pts[0][0] - 0.5) < 1e-9
+
+
+def test_infinite_radius_holds_every_a_point():
+    assert [m for _, m in enumerate_a_points(Z2_MINUS_1, 0, math.inf)] == [1, 1]
+    assert count_n(Z2_MINUS_1, 0, math.inf) == 2
+
+
+def test_enumerate_names_a_point_on_the_circle_and_keeps_one_just_inside():
+    on_circle = RationalFunction.from_polynomial(Polynomial.from_roots([1, 0.5]))
+    with pytest.raises(BoundaryCoincidence, match="guard band"):
+        enumerate_a_points(on_circle, 0, 1.0)
+    # a root 3e-11 inside the circle: enumerated past it, kept, and its
+    # point lies within 1e-12 of the root
+    inside = RationalFunction.from_polynomial(Polynomial.from_roots([1 - 3e-11, 0.5, 1.5]))
+    pts = enumerate_a_points(inside, 0, 1.0)
+    assert [m for _, m in pts] == [1, 1]
+    assert abs(pts[0][0] - 0.5) <= 1e-12 and abs(pts[1][0] - (1 - 3e-11)) <= 1e-12
 
 
 # -- pointwise counts ----------------------------------------------------------------
@@ -154,13 +172,52 @@ def _record_enumerations(monkeypatch):
 
 def test_cluster_on_the_first_enumeration_circle_counts_through_a_bump(monkeypatch):
     # three roots 1e-10 apart at c; the first enumeration circle,
-    # r * (1 + 2e-3), is |c| and runs through the cluster, so it raises at
+    # r * (1 + 1e-2), is |c| and runs through the cluster, so it raises at
     # once and the next bump clears it
     c = 0.4 + 0.1j
     f = RationalFunction.from_polynomial(Polynomial.from_roots([c, c + 1e-10, c - 1e-10]))
     calls = _record_enumerations(monkeypatch)
-    assert counting_N(f, 0, abs(c) / 1.002) == 0.0
+    assert counting_N(f, 0, abs(c) / 1.01) == 0.0
     assert calls == [RootOnBoundary, None]
+
+
+# the same cluster plus a zero at -0.2, on a grid whose top radius puts the
+# cluster on the first enumeration circle; |p| < 1 on the grid's disks, so
+# T(r) = 0 there and no 1-point lies inside them
+_C = 0.4 + 0.1j
+_CLUSTER = Polynomial.from_roots([_C, _C + 1e-10, _C - 1e-10, -0.2])
+_CLUSTER_GRID = [0.1, 0.3, abs(_C) / 1.01]
+_CLUSTER_N = [0.0, math.log(0.3 / 0.2), math.log(_CLUSTER_GRID[-1] / 0.2)]
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (
+            lambda f: [row.N for row in build_profile(f, [0], _CLUSTER_GRID)[0].rows],
+            _CLUSTER_N,
+        ),
+        # m + N - T is the Jensen constant -log|p(0)| at every radius
+        (
+            lambda f: verify_first_fundamental(f, 0, _CLUSTER_GRID).series,
+            [-math.log(abs(_CLUSTER(0)))] * 3,
+        ),
+        (lambda f: verify_second_fundamental(f, [0, 1, "inf"], _CLUSTER_GRID).series, _CLUSTER_N),
+        (
+            lambda f: remark_fft_check(f.numerator, _CLUSTER_GRID).series,
+            [n - 4 * math.log(r) for n, r in zip(_CLUSTER_N, _CLUSTER_GRID)],
+        ),
+    ],
+    ids=["build_profile", "verify_first_fundamental", "verify_second_fundamental", "remark_fft_check"],
+)
+def test_cluster_on_the_first_grid_circle_counts_through_a_bump(monkeypatch, call, want):
+    # grids enumerate once past their top radius by the single-radius rule,
+    # so the target 0's first circle raises and the next bump clears it
+    f = RationalFunction.from_polynomial(_CLUSTER)
+    calls = _record_enumerations(monkeypatch)
+    got = call(f)
+    assert calls[:2] == [RootOnBoundary, None]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def _oracle_moduli(coeffs):
@@ -173,13 +230,13 @@ def _oracle_moduli(coeffs):
 
 
 def test_counts_just_inside_each_root_modulus_match_the_oracle():
-    # at r = |z_k| / 1.002 the first enumeration circle runs through z_k;
+    # at r = |z_k| / 1.01 the first enumeration circle runs through z_k;
     # a conjugate pair on it snaps one root into the disk's count, which
     # must end in RootOnBoundary (and a bump), not in LocalizationFailed
     example = [-5, 3, -8, -7, 8, -6, 2, 9, -3]
     f = RationalFunction.from_polynomial(Polynomial(example))
-    assert count_n(f, 0, 0.7038434839602782 / 1.002) == 0
-    assert counting_N(f, 0, 0.7038434839602782 / 1.002) == 0.0
+    assert count_n(f, 0, 0.7038434839602782 / 1.01) == 0
+    assert counting_N(f, 0, 0.7038434839602782 / 1.01) == 0.0
     corpus = [example]
     for seed in range(8):
         rng = make_rng(seed)
@@ -192,7 +249,7 @@ def test_counts_just_inside_each_root_modulus_match_the_oracle():
         f = RationalFunction.from_polynomial(Polynomial(coeffs))
         moduli = _oracle_moduli(coeffs)
         for modulus in moduli:
-            r = modulus / 1.002
+            r = modulus / 1.01
             inside = [m for m in moduli if m < r]
             assert count_n(f, 0, r) == len(inside), (coeffs, r)
             want = sum(math.log(r / m) for m in inside)

@@ -15,10 +15,13 @@ its distribution workload, the same three calls twice over on one f for
 the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
 first block of its growth workload, localize_roots with roots on the
 region's boundary, counts whose first enumeration circle runs through
-an a-point, localize_roots on regions that hold the Cauchy disk and on
-one that does not, counts below and above a tight Cauchy radius, and
-profiles nudged off a simple and a double a-point. A change meant to keep results passes when `cmp` finds the
-dumps of the parent and the change equal.
+an a-point, the same inputs through enumerate_a_points and through grids
+whose top radius puts the a-point on their first enumeration circle,
+enumerate_a_points with a root on and one just inside its circle,
+localize_roots on regions that hold the Cauchy disk and on one that does
+not, counts below and above a tight Cauchy radius, and profiles nudged
+off a simple and a double a-point. A change meant to keep results passes
+when `cmp` finds the dumps of the parent and the change equal.
 """
 
 import contextlib
@@ -103,6 +106,19 @@ DOUBLE_ON_GRID = vd.RationalFunction(P.from_roots([1, 1, -3]))
 STRADDLE = (vd.RationalFunction(P([-5, 3, -8, -7, 8, -6, 2, 9, -3])), 0.7038434839602782 / 1.002)
 _C = 0.4 + 0.1j
 CLUSTER = (vd.RationalFunction(P.from_roots([_C, _C + 1e-10, _C - 1e-10])), abs(_C) / 1.002)
+# the same two inputs at r = |z| / 1.01, the first circle of every
+# enumeration rule, through the counts, enumerate_a_points and grids whose
+# top radius is r
+ON_FIRST_CIRCLE = {
+    "straddle": (STRADDLE[0], 0.7038434839602782 / 1.01),
+    "cluster": (CLUSTER[0], abs(_C) / 1.01),
+}
+# enumerate_a_points at radius 1 with a root on the unit circle, and with
+# one 3e-11 inside it
+CIRCLE_POINTS = {
+    "on": vd.RationalFunction(P.from_roots([1, 0.5])),
+    "inside": vd.RationalFunction(P.from_roots([1 - 3e-11, 0.5, 1.5])),
+}
 # int_real and int_multi items of the benchmark's roots stream at seed 1:
 # all of them among items 0-11, plus #39 and #81. Real roots on the split
 # line y = 0 and multiple roots reach the exact-arithmetic Newton step, in
@@ -340,6 +356,16 @@ def library():
     for name, (f, r) in (("straddle", STRADDLE), ("cluster", CLUSTER)):
         for fn in (vd.count_n, vd.counting_N):
             show(f"{fn.__name__} {name}", lambda: fn(f, 0, r))
+    for name, (f, r) in ON_FIRST_CIRCLE.items():
+        grid = [r / 100, r / 10, r]
+        show(f"count_n {name} 1.01", lambda: vd.count_n(f, 0, r))
+        show(f"points {name} 1.01", lambda: vd.enumerate_a_points(f, 0, r))
+        show(f"profile {name} 1.01", lambda: vd.build_profile(f, TARGETS, grid))
+        show(f"fft {name} 1.01", lambda: vd.verify_first_fundamental(f, 0, grid))
+        show(f"smt {name} 1.01", lambda: vd.verify_second_fundamental(f, [0, 1, "inf"], grid))
+        show(f"remark_fft_check {name} 1.01", lambda: vd.remark_fft_check(f.numerator, grid))
+    for name, f in CIRCLE_POINTS.items():
+        show(f"points circle {name}", lambda: vd.enumerate_a_points(f, 0, 1.0))
 
 
 def command_line():
