@@ -9,14 +9,19 @@ their weighted sum to half the running value. No value snaps on its
 first rule, so the first two rules share one evaluation. The four
 children of a split share each doubling pass, one evaluation per
 polynomial for all of their new nodes; the inner edges they share are
-still evaluated once per side. A region that holds p's Cauchy disk holds
-all deg p roots by Cauchy's bound, so its count is the degree, a theorem
-and not a contour. Localization is a quadtree on boxes: a box whose
-subdivision line would pass through a root is re-split at the next point
-of a fixed off-centre split ladder, so children always tile their parent
-exactly, counts stay conserved, and the same input always gives the same
-enclosures. Once a box is small, a Newton endgame polishes the root and
-certifies a tiny disk around it by an independent winding count.
+still evaluated once per side. A pass builds its nodes in one broadcast
+of a cached unit template that holds every rule of the call side by
+side, and bounds their moduli by its regions' geometry; |z| is computed
+only when a value may be below the roundoff bound, where a node may be
+unreliable and is re-evaluated exactly. A region that holds p's Cauchy
+disk holds all deg p roots by Cauchy's bound, so its count is the
+degree, a theorem and not a contour. Localization is a quadtree on
+boxes: a box whose subdivision line would pass through a root is
+re-split at the next point of a fixed off-centre split ladder, so
+children always tile their parent exactly, counts stay conserved, and
+the same input always gives the same enclosures. Once a box is small, a
+Newton endgame polishes the root and certifies a tiny disk around it by
+an independent winding count.
 Uncertified companion-matrix root hints only order the split points and
 stop the start box; winding counts stay the certificate. The witness pipeline
 uses the same descent: of the recentred polynomial's enclosures, it takes
@@ -169,17 +174,16 @@ class RootEnclosure:
 _RELIABLE_FACTOR = 64.0 * _EPS
 
 
-# Nodes that each pass of the doubling adds, cached per node count (circle)
-# or per intervals per edge (box): the whole rule at the start, after that
-# only the odd-index nodes, which the previous rule does not contain
-@functools.cache
+# Nodes that each pass of the doubling adds, per node count (circle) or
+# per intervals per edge (box): the whole rule at the start, after that
+# only the odd-index nodes, which the previous rule does not contain;
+# _template caches them
 def _unit_circle(n: int) -> np.ndarray:
     """exp(2 pi i k / n) for the k the n-node circle rule adds."""
     k = np.arange(n) if n == WINDING_START_NODES else np.arange(1, n, 2)
     return np.exp(2j * np.pi * k / n)
 
 
-@functools.cache
 def _unit_segment(m: int) -> np.ndarray:
     """Abscissae j / m in [0, 1] that the m-interval edge rule adds."""
     if 4 * m == WINDING_START_NODES:
@@ -187,25 +191,70 @@ def _unit_segment(m: int) -> np.ndarray:
     return np.arange(1, m, 2) / m
 
 
-def _eval_repaired(poly: Polynomial, z: np.ndarray, z_abs: np.ndarray, z_max: float):
+@functools.cache
+def _template(disks: bool, rules: tuple):
+    """The unit nodes of every rule in ``rules`` side by side, read-only, and each rule's slice."""
+    parts = [_unit_circle(n) if disks else _unit_segment(n // 4) for n in rules]
+    stops = np.cumsum([part.size for part in parts]).tolist()
+    unit = np.concatenate(parts)
+    unit.flags.writeable = False
+    return unit, tuple(slice(a, b) for a, b in zip([0, *stops], stops))
+
+
+class _Nodes:
+    """A pass's nodes, one broadcast of the template, a bound on their moduli, and |z| on first use.
+
+    Disks: ``z`` = centre + radius * unit, shape (k, L), and ``geometry``
+    the radii. Boxes: ``z`` = corner + side * unit on each edge, shape
+    (k, 4, L), and ``geometry`` the sides. ``z_max`` is |centre| + radius,
+    or the largest |corner|, times 1 + 1e-12 for the rounding of the nodes
+    and of their moduli, plus 1e-320 for subnormal nodes, whose rounding
+    is absolute: no node's modulus exceeds it.
+    """
+
+    def __init__(self, regions, unit: np.ndarray):
+        if isinstance(regions[0], Disk):
+            centers = np.array([r.center for r in regions])
+            self.geometry = np.array([r.radius for r in regions])
+            self.z = centers[:, None] + self.geometry[:, None] * unit
+            z_max = float((np.abs(centers) + self.geometry).max())
+        else:
+            # corners counter-clockwise from the lower left; edge j runs
+            # from corner j to corner j + 1
+            xy = np.array([r.corners for r in regions])
+            corners = np.empty((len(regions), 4), dtype=complex)
+            corners.real = xy[:, [0, 1, 1, 0]]
+            corners.imag = xy[:, [2, 2, 3, 3]]
+            self.geometry = corners[:, [1, 2, 3, 0]] - corners
+            self.z = corners[..., None] + self.geometry[..., None] * unit
+            z_max = float(np.abs(corners).max())
+        self.z_max = z_max * (1.0 + 1e-12) + 1e-320
+
+    @functools.cached_property
+    def modulus(self) -> np.ndarray:
+        return np.abs(self.z)
+
+
+def _eval_repaired(poly: Polynomial, nodes: _Nodes):
     """Vectorized Horner, with exact re-evaluation where roundoff dominates.
 
     Inside the roundoff halo of a multiple root the float value is pure
     noise; those nodes (detected against the |c_i||z|^i bound) are redone
     in exact dyadic arithmetic so winding certificates stay meaningful at
-    arbitrarily small contour radii. ``z_abs`` is |z| and ``z_max`` its
-    largest entry; returns the values and their moduli.
+    arbitrarily small contour radii. The bound is first taken at the
+    nodes' modulus bound, which no node exceeds; |z| is read only when
+    that check fails. Returns the values and their moduli.
     """
-    v = poly.eval_many(z)
+    v = poly.eval_many(nodes.z)
     v_abs = np.abs(v)
     if poly.degree == 0:
         return v, v_abs
-    if float(v_abs.min()) > _RELIABLE_FACTOR * poly.eval_magnitude_bound(z_max):
+    if float(v_abs.min()) > _RELIABLE_FACTOR * poly.eval_magnitude_bound(nodes.z_max):
         return v, v_abs
-    bad = np.nonzero(v_abs <= _RELIABLE_FACTOR * poly.bound_many(z_abs))[0]
-    for i in bad:
-        v[i] = poly.eval_exact(complex(z[i]))
-    v_abs[bad] = np.abs(v[bad])
+    bad = np.flatnonzero(v_abs <= _RELIABLE_FACTOR * poly.bound_many(nodes.modulus))
+    flat, flat_abs = v.reshape(-1), v_abs.reshape(-1)
+    flat[bad] = [poly.eval_exact(z) for z in nodes.z.reshape(-1)[bad].tolist()]
+    flat_abs[bad] = np.abs(flat[bad])
     return v, v_abs
 
 
@@ -228,47 +277,31 @@ class _ContourCounter:
         Per rule and region: the rule's weighted sum of f'/f over the nodes
         it adds to the rule of half its size (all of them at the start),
         and the nearest-root estimate min |p/p'| over those nodes; (0j, 0.0)
-        where f'/f is not finite. The nodes of every rule and region go
-        through one evaluation per polynomial; each rule's sums are taken
-        over its own contiguous slice, and each region's over its own row.
+        where f'/f is not finite. The nodes of every rule and region are
+        one broadcast of a cached template and go through one evaluation
+        per polynomial; each rule's sums are taken over its own slice, and
+        each region's over its own row.
         """
-        k = len(regions)
         disks = isinstance(regions[0], Disk)
-        if disks:
-            centers = np.array([r.center for r in regions])
-            radii = np.array([r.radius for r in regions])
-            zs = [centers[:, None] + radii[:, None] * _unit_circle(n) for n in rules]
-        else:
-            # corners counter-clockwise from the lower left; edge j runs
-            # from corner j to corner j + 1
-            xy = np.array([r.corners for r in regions])
-            corners = np.empty((k, 4), dtype=complex)
-            corners.real = xy[:, [0, 1, 1, 0]]
-            corners.imag = xy[:, [2, 2, 3, 3]]
-            sides = corners[:, [1, 2, 3, 0]] - corners
-            zs = [corners[..., None] + sides[..., None] * _unit_segment(n // 4) for n in rules]
-        z = np.concatenate([zi.ravel() for zi in zs])
-        z_abs = np.abs(z)
-        z_max = float(z_abs.max())
+        unit, slices = _template(disks, rules)
+        nodes = _Nodes(regions, unit)
+        axes = 1 if disks else (1, 2)
         out = []
         # a row that is not finite is dropped below; its sums may be nan
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            nv, nv_abs = _eval_repaired(self.num, z, z_abs, z_max)
-            dnv, dnv_abs = _eval_repaired(self.dnum, z, z_abs, z_max)
+            nv, nv_abs = _eval_repaired(self.num, nodes)
+            dnv, dnv_abs = _eval_repaired(self.dnum, nodes)
             g = dnv / nv
             dist = nv_abs / dnv_abs
             if self.den is not None:
-                dv, dv_abs = _eval_repaired(self.den, z, z_abs, z_max)
-                ddv, ddv_abs = _eval_repaired(self.dden, z, z_abs, z_max)
+                dv, dv_abs = _eval_repaired(self.den, nodes)
+                ddv, ddv_abs = _eval_repaired(self.dden, nodes)
                 g = g - ddv / dv
                 dist = np.minimum(dist, dv_abs / ddv_abs)
-            stop = 0
-            for n, zi in zip(rules, zs):
-                start, stop = stop, stop + zi.size
-                gi = g[start:stop].reshape(zi.shape)
-                finite = np.isfinite(gi.view(float)).reshape(k, -1).all(axis=1)
+            for n, s in zip(rules, slices):
+                gi = g[..., s]
                 if disks:
-                    values = np.sum(((radii / n)[:, None] * _unit_circle(n)) * gi, axis=1)
+                    values = ((nodes.geometry / n)[:, None] * unit[s] * gi).sum(axis=1)
                 else:
                     # new edge nodes are interior, weight 1/m; the start
                     # rule's edge ends carry half of it
@@ -280,19 +313,22 @@ class _ContourCounter:
                     # per-box loop in Python arithmetic, up to the sign
                     # of an exact zero, which no count reads
                     c = 2.0 * math.pi * (n // 4)
+                    sides = nodes.geometry
                     w = np.empty_like(sides)
                     w.real = sides.imag / c
                     w.imag = -sides.real / c
                     terms = w * sums
                     values = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
-                # nan marks nodes where the derivative vanished; fmin skips it
-                d = np.fmin.reduce(dist[start:stop].reshape(k, -1), axis=1)
-                out.append(
-                    [
-                        (complex(v), math.inf if math.isnan(di) else float(di)) if ok else (0j, 0.0)
-                        for v, di, ok in zip(values, d, finite)
-                    ]
-                )
+                # nan marks nodes where the derivative vanished; fmin skips
+                # it, and a row of nan reads inf
+                d = np.fmin.reduce(dist[..., s], axis=axes, initial=math.inf)
+                # a non-finite f'/f makes its row's value non-finite, so rows
+                # are tested node by node only where a value is
+                if not all(map(cmath.isfinite, values.tolist())):
+                    dropped = ~np.isfinite(gi).all(axis=axes)
+                    values[dropped] = 0.0
+                    d[dropped] = 0.0
+                out.append(list(zip(values.tolist(), d.tolist())))
         return out
 
     def certified_all(self, regions) -> list:

@@ -164,6 +164,14 @@ def _points_past(f: RationalFunction, a, r: float):
     raise last
 
 
+def _check_radius(r: float) -> None:
+    """A radius of N, m or T: positive and finite (``count_n`` also takes inf)."""
+    if not r > 0:
+        raise ValueError("r must be positive")
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
+
+
 def enumerate_a_points(f: RationalFunction, a, radius: float):
     """Certified a-points of f with |z| < radius, as (point, multiplicity).
 
@@ -191,6 +199,7 @@ def counting_N(f: RationalFunction, a, r: float, reduced: bool = False) -> float
     The t-integral of the step count integrates exactly to
     sum_j w_j log(r/|z_j|) over 0 < |z_j| < r plus n(0) log r.
     """
+    _check_radius(r)
     return _N_at(_points_past(f, a, r), r, reduced)
 
 
@@ -202,6 +211,7 @@ def counting_N_integral(
     reduced: bool = False,
 ) -> float:
     """Independent route: numeric integration of (n(t) - n(0))/t over (0, r]."""
+    _check_radius(r)
     pts = _points_past(f, a, r)
     cfg = cfg or DEFAULT_QUADRATURE
     n0 = _origin_weight(pts, reduced)
@@ -293,8 +303,7 @@ def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
 def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Mean of log+ |g| on the circle |z| = r, g = f (a = inf) or 1/(f - a)."""
     a = as_target(a)
-    if not r > 0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     return _m_series(f, a, [r], cfg)[0]
 
 
@@ -305,6 +314,7 @@ def _t_series(f: RationalFunction, radii, cfg, pts_inf) -> list:
 
 def characteristic_T(f: RationalFunction, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Growth gauge: proximity to infinity plus integrated pole count."""
+    _check_radius(r)
     f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("the characteristic needs a non-constant function")
@@ -312,7 +322,7 @@ def characteristic_T(f: RationalFunction, r: float, cfg: QuadratureConfig | None
 
 
 def _check_grid(rgrid) -> list:
-    """Grid radii as floats: at least one, all positive, strictly increasing."""
+    """Grid radii as floats: at least one, all positive and finite, strictly increasing."""
     rgrid = [float(r) for r in rgrid]
     if not rgrid:
         raise ValueError("rgrid needs at least one radius")
@@ -320,6 +330,9 @@ def _check_grid(rgrid) -> list:
         raise ValueError("rgrid radii must be positive")
     if any(lo >= hi for lo, hi in zip(rgrid, rgrid[1:])):
         raise ValueError("rgrid must be strictly increasing")
+    # an increasing grid can be infinite only at its top
+    if not math.isfinite(rgrid[-1]):
+        raise ValueError("rgrid radii must be finite")
     return rgrid
 
 

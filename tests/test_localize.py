@@ -25,11 +25,14 @@ from valdist.localize import (
     SPLIT_LADDER,
     WINDING_MAX_NODES,
     WINDING_START_NODES,
+    _RELIABLE_FACTOR,
     _cauchy_radius,
     _ContourCounter,
     _endgame,
     _newton,
+    _Nodes,
     _split_points,
+    _template,
 )
 
 from conftest import make_rng, random_factored, random_polynomial, random_rational
@@ -58,6 +61,19 @@ def test_winding_box_region():
 def test_winding_counts_poles_negative():
     f = RationalFunction(Polynomial([1.0]), Polynomial.from_roots([0.5, -0.5]))
     assert winding_count(f, Disk(0j, 1.0)) == -2
+
+
+@pytest.mark.parametrize(
+    "ints, floats",
+    [(Box(0, 2, 2), Box(0j, 2.0, 2.0)), (Disk(0, 2), Disk(0j, 2.0)), (Box(1, 3, 2), Box(1 + 0j, 3.0, 2.0))],
+    ids=["box", "disk", "off-centre box"],
+)
+def test_integer_regions_count_as_their_float_twins(ints, floats):
+    # a region built from ints has int centre and corners
+    f = RationalFunction(Polynomial.from_roots([1j, -1j, 0.5 - 0.25j]), Polynomial.from_roots([-0.75]))
+    assert winding_count(f, ints) == winding_count(f, floats) == 2
+    p = Polynomial([1, 0, 1])
+    assert repr(localize_roots(p, ints, 1e-10)) == repr(localize_roots(p, floats, 1e-10))
 
 
 # -- nested trapezoid doubling --------------------------------------------------
@@ -162,6 +178,53 @@ def test_paired_rules_match_one_rule_evaluations(kind):
         first, second = counter._fresh(regions, (n, 2 * n))
         assert _bits(first) == _bits(counter._fresh(regions, (n,))[0])
         assert _bits(second) == _bits(counter._fresh(regions, (2 * n,))[0])
+
+
+@pytest.mark.parametrize("rules", [(WINDING_START_NODES, 2 * WINDING_START_NODES), (1024,)])
+@pytest.mark.parametrize("kind", ["disk", "box"])
+def test_node_modulus_bound_holds_every_node(kind, rules):
+    # the fast roundoff check reads this bound in place of the largest |z|
+    rng = make_rng(61)
+    unit, _ = _template(kind == "disk", rules)
+    for _ in range(60):
+        k = int(rng.integers(1, 5))
+        centres = 10.0 ** rng.uniform(-6, 4, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
+        halves = 10.0 ** rng.uniform(-12, 4, (k, 2))
+        if kind == "disk":
+            regions = [Disk(complex(c), h[0]) for c, h in zip(centres, halves)]
+        else:
+            regions = [Box(complex(c), h[0], h[1]) for c, h in zip(centres, halves)]
+        nodes = _Nodes(regions, unit)
+        assert float(np.abs(nodes.z).max()) <= nodes.z_max
+
+
+def test_exact_path_far_from_the_origin_matches_one_region_runs(monkeypatch):
+    # a double root near 1e3: nodes within about 2.4e-4 of it are in its
+    # roundoff halo and are evaluated exactly, the others are not
+    root = 1000.0 + 2.0**-10 * 1j
+    counter = _ContourCounter(Polynomial.from_roots([root, root, -3.0]))
+    children = Box(root + (3 - 2j) * 1e-5, 1e-3, 8e-4).split_at(root.real + 1e-4, root.imag - 5e-5)
+    rules = (WINDING_START_NODES, 2 * WINDING_START_NODES)
+    calls = []
+    eval_exact = Polynomial.eval_exact
+
+    def recording(self, z):
+        calls.append((self is counter.num, z))
+        return eval_exact(self, z)
+
+    monkeypatch.setattr(Polynomial, "eval_exact", recording)
+    batched = counter._fresh(children, rules)
+    # the nodes evaluated exactly are those that the per-node test flags
+    z = _Nodes(children, _template(False, rules)[0]).z.ravel()
+    flagged = []
+    for poly in (counter.num, counter.dnum):
+        bad = np.abs(poly.eval_many(z)) <= _RELIABLE_FACTOR * poly.bound_many(np.abs(z))
+        flagged += [(poly is counter.num, zi) for zi in z[bad].tolist()]
+    assert 0 < len(calls) < z.size
+    assert sorted(calls, key=repr) == sorted(flagged, key=repr)
+    for i, child in enumerate(children):
+        for passes, n in zip(batched, rules):
+            assert _bits([passes[i]]) == _bits(counter._fresh([child], (n,))[0]), (i, n)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +345,24 @@ def test_split_with_a_root_on_a_child_edge_raises():
         counter.certified(children[3])
     with pytest.raises(ContourTooClose):
         counter.certified_all(children)
+
+
+def test_batch_with_two_failing_regions_raises_for_the_first():
+    # roots near start nodes of the top edges of the third and the fourth
+    # child, whose sizes differ, so their lone runs fail with different texts
+    children = Box(0j, 1.0, 1.0).split_at(-0.3, 0.2)
+    counter = _ContourCounter(Polynomial.from_roots([-0.65 + 1j, 0.35 + 1j, -0.6 - 0.4j]))
+    assert [counter.certified(ch) for ch in children[:2]] == [1, 0]
+    lone = []
+    for child in children[2:]:
+        with pytest.raises(ContourTooClose) as exc:
+            counter.certified(child)
+        lone.append(str(exc.value))
+    assert lone[0] != lone[1]
+    for order, text in ((children, lone[0]), (children[::-1], lone[1])):
+        with pytest.raises(ContourTooClose) as batched:
+            counter.certified_all(order)
+        assert str(batched.value) == text
 
 
 def test_shared_edge_through_a_root_runs_the_long_ladder_once(monkeypatch):

@@ -80,6 +80,45 @@ def test_infinite_radius_holds_every_a_point():
     assert count_n(Z2_MINUS_1, 0, math.inf) == 2
 
 
+README_F = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-3, 1]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: counting_N(README_F, 0, r),
+        lambda r: counting_N_integral(README_F, 0, r),
+        lambda r: proximity_m(README_F, 0, r),
+        lambda r: characteristic_T(README_F, r),
+    ],
+    ids=["counting_N", "counting_N_integral", "proximity_m", "characteristic_T"],
+)
+def test_single_radius_must_be_finite(call):
+    # N and T would be nan (0 inf) there, and m's integrand is not finite
+    with pytest.raises(ValueError, match="r must be finite"):
+        call(math.inf)
+    with pytest.raises(ValueError, match="r must be positive"):
+        call(-1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: build_profile(README_F, [0], grid),
+        lambda grid: verify_first_fundamental(README_F, 0, grid),
+        lambda grid: verify_second_fundamental(README_F, [0, 1, "inf"], grid),
+        lambda grid: verify_degree_growth(Polynomial([1, 0, 1]), grid),
+    ],
+    ids=["build_profile", "verify_first_fundamental", "verify_second_fundamental", "verify_degree_growth"],
+)
+def test_grid_must_be_finite(call):
+    with pytest.raises(ValueError, match="rgrid radii must be finite"):
+        call([1.0, 10.0, 100.0, math.inf])
+    # the order check comes first, so a grid that repeats inf names its order
+    with pytest.raises(ValueError, match="strictly increasing"):
+        call([1.0, math.inf, math.inf])
+
+
 def test_enumerate_names_a_point_on_the_circle_and_keeps_one_just_inside():
     on_circle = RationalFunction.from_polynomial(Polynomial.from_roots([1, 0.5]))
     with pytest.raises(BoundaryCoincidence, match="guard band"):

@@ -19,9 +19,14 @@ an a-point, the same inputs through enumerate_a_points and through grids
 whose top radius puts the a-point on their first enumeration circle,
 enumerate_a_points with a root on and one just inside its circle,
 localize_roots on regions that hold the Cauchy disk and on one that does
-not, counts below and above a tight Cauchy radius, and profiles nudged
-off a simple and a double a-point. A change meant to keep results passes
-when `cmp` finds the dumps of the parent and the change equal.
+not, counts below and above a tight Cauchy radius, profiles nudged
+off a simple and a double a-point, localize_roots around a double root
+near 1e3 (contour nodes evaluated exactly far from the origin), the error
+of a split batch with two failing children, winding counts of
+rationals with a pole on a box corner and just inside a box edge, and
+a winding count and localize_roots on regions built from ints. A change
+meant to keep results passes when `cmp` finds the dumps of the parent
+and the change equal.
 """
 
 import contextlib
@@ -118,6 +123,19 @@ ON_FIRST_CIRCLE = {
 CIRCLE_POINTS = {
     "on": vd.RationalFunction(P.from_roots([1, 0.5])),
     "inside": vd.RationalFunction(P.from_roots([1 - 3e-11, 0.5, 1.5])),
+}
+# a double root near 1e3 in a box around it: contour nodes in its roundoff
+# halo are evaluated exactly, far from the origin
+FAR_DOUBLE = 1000.0 + 2.0**-10 * 1j
+# a split of the unit box whose third and fourth children have roots near
+# start nodes of their top edges; the batch raises the error of the one
+# first in the list
+FAILING_SPLIT = (P.from_roots([-0.65 + 1j, 0.35 + 1j, -0.6 - 0.4j]), UNIT_BOX.split_at(-0.3, 0.2))
+# a pole on a corner of the unit box, where f'/f is not finite, and one
+# 1e-3 inside its edge x = 1
+POLE_BOXES = {
+    "pole on a box corner": vd.RationalFunction(P.from_roots([0.2, -0.5j]), P.from_roots([1 - 1j, 0.5])),
+    "pole inside a box edge": vd.RationalFunction(P.from_roots([0.2, -0.5j]), P.from_roots([1 - 1e-3 + 0.3j, 0.5])),
 }
 # int_real and int_multi items of the benchmark's roots stream at seed 1:
 # all of them among items 0-11, plus #39 and #81. Real roots on the split
@@ -366,6 +384,17 @@ def library():
         show(f"remark_fft_check {name} 1.01", lambda: vd.remark_fft_check(f.numerator, grid))
     for name, f in CIRCLE_POINTS.items():
         show(f"points circle {name}", lambda: vd.enumerate_a_points(f, 0, 1.0))
+    far = P.from_roots([FAR_DOUBLE, FAR_DOUBLE, -3.0])
+    show("roots far double", lambda: vd.localize_roots(far, vd.Box(FAR_DOUBLE + (3 - 2j) * 1e-5, 1e-3, 8e-4), 1e-10))
+    p, children = FAILING_SPLIT
+    counter = vd.localize._ContourCounter(p)
+    show("split batch failing", lambda: counter.certified_all(children))
+    show("split batch failing reversed", lambda: counter.certified_all(children[::-1]))
+    for name, f in POLE_BOXES.items():
+        show(f"winding {name}", lambda: vd.winding_count(f, UNIT_BOX))
+    # int centre, half-widths and radius, so int corners
+    show("winding int box", lambda: vd.winding_count(P([1, 0, 1]), vd.Box(0, 2, 2)))
+    show("roots int disk", lambda: vd.localize_roots(P([1, 0, 1]), vd.Disk(0, 2), 1e-10))
 
 
 def command_line():
