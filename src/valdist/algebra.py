@@ -21,9 +21,6 @@ from .errors import (
     LinearCoefficientNonzero,
 )
 
-# Trailing coefficients below TRIM_REL * scale are dropped on construction:
-# Taylor shifts and products produce exact zeros only up to roundoff.
-TRIM_REL = 1e-14
 # Root-coincidence tolerance for numerator/denominator cancellation,
 # relative to the coefficient scale of the pair.
 GCD_TOL_REL = 1e-8
@@ -69,18 +66,10 @@ class Polynomial:
 
     def __init__(self, coefficients):
         coeffs = [_as_complex(c) for c in coefficients]
-        if not coeffs:
-            coeffs = [0j]
-        scale = max(abs(c) for c in coeffs)
-        if scale == 0.0:
-            coeffs = [0j]
-        else:
-            cut = TRIM_REL * scale
-            end = len(coeffs)
-            while end > 1 and abs(coeffs[end - 1]) < cut:
-                end -= 1
-            coeffs = coeffs[:end]
-        self._coeffs = tuple(coeffs)
+        # only exact zeros are dropped: a tiny leading coefficient is the caller's
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self._coeffs = tuple(coeffs) if coeffs else (0j,)
         self._arr = None
         self._exact = None
 

@@ -13,13 +13,16 @@ still evaluated once per side. A pass builds its nodes in one broadcast
 of a cached unit template that holds every rule of the call side by
 side, and bounds their moduli by its regions' geometry; |z| is computed
 only when a value may be below the roundoff bound, where a node may be
-unreliable and is re-evaluated exactly. A region that holds p's Cauchy
-disk holds all deg p roots by Cauchy's bound, so its count is the
-degree, a theorem and not a contour. Localization is a quadtree on
-boxes: a box whose subdivision line would pass through a root is
-re-split at the next point of a fixed off-centre split ladder, so
-children always tile their parent exactly, counts stay conserved, and
-the same input always gives the same enclosures. Once a box is small, a
+unreliable and is re-evaluated exactly. Localization counts every
+region through one box, the region itself or the box around a disk, and
+a disk's roots are the certified enclosures whose centres lie inside its
+circle: no contour runs on the circle. A box that holds p's Cauchy disk
+holds all deg p roots by Cauchy's bound, so its count is the degree, a
+theorem and not a contour. The descent is a quadtree on boxes: a box
+whose subdivision line would pass through a root is re-split at the
+next point of a fixed off-centre split ladder, so children always tile
+their parent exactly, counts stay conserved, and the same input always
+gives the same enclosures. Once a box is small, a
 Newton endgame polishes the root and certifies a tiny disk around it by
 an independent winding count.
 Uncertified companion-matrix root hints only order the split points and
@@ -28,8 +31,8 @@ uses the same descent: of the recentred polynomial's enclosures, it takes
 the one nearest minus the shift, which minimizes the witness modulus.
 
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
-on a contour no split placed (the caller's region, the box around a disk,
-a final enclosure), for roots on every split tried, and for an enclosure
+on a contour no split placed (the caller's box, the box around a disk, a
+final enclosure), for roots on every split tried, and for an enclosure
 astride a disk's circle. A caller may move the region, as
 ``nevanlinna._points_past`` does.
 """
@@ -634,24 +637,24 @@ def _merge_certify(counter, finals):
     return out
 
 
-def _holds_cauchy_disk(region: Region, p: Polynomial) -> bool:
-    """The region holds p's Cauchy disk |z| <= 1 + max |c_i| / |c_n| (i < n),
+def _holds_cauchy_disk(box: Box, p: Polynomial) -> bool:
+    """The box holds p's Cauchy disk |z| <= 1 + max |c_i| / |c_n| (i < n),
     which holds every root, with a relative margin of 1e-12 for rounding."""
     radius = _cauchy_radius(p) * (1.0 + 1e-12)
-    c = region.center
-    if isinstance(region, Disk):
-        return abs(c) + radius <= region.radius
-    return abs(c.real) + radius <= region.half_re and abs(c.imag) + radius <= region.half_im
+    c = box.center
+    return abs(c.real) + radius <= box.half_re and abs(c.imag) + radius <= box.half_im
 
 
 def localize_roots(p: Polynomial, region: Region, tol: float):
     """Certified, pairwise-disjoint root enclosures of p inside the region.
 
-    Enclosure disks have radius <= tol, each disk's winding count equals
-    its multiplicity, and the multiplicities sum to the winding count of
-    the whole region. Root clusters tighter than tol come back as a single
-    enclosure with the summed multiplicity. A root on the region's
-    boundary raises ``RootOnBoundary``.
+    Enclosure disks have radius <= tol and each disk's winding count equals
+    its multiplicity. A box region is searched as it is, a disk region in
+    the box around it; the multiplicities sum to that box's count, and for
+    a disk the enclosures returned are those whose centres lie inside the
+    circle. Root clusters tighter than tol come back as a single enclosure
+    with the summed multiplicity. A root on the box's boundary, or an
+    enclosure astride a disk's circle, raises ``RootOnBoundary``.
 
     ``tol`` is absolute. The descent raises ``SubdivisionDepthExceeded``
     at a box whose diameter is at most 256 eps max(1, |centre|), about the
@@ -664,30 +667,21 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
         raise ValueError("tol must be positive")
     counter = _ContourCounter(p)
     box0 = region if isinstance(region, Box) else Box(region.center, region.radius, region.radius)
-    if _holds_cauchy_disk(region, p):
-        # every root lies in the Cauchy disk, and so inside region and box0
-        total = box_total = p.degree
-    else:
-        total = _boundary_count(counter, region)
-        if total == 0:
-            return []
-        box_total = total if box0 is region else _boundary_count(counter, box0)
+    # every root lies in the Cauchy disk, and so inside a box that holds it
+    total = p.degree if _holds_cauchy_disk(box0, p) else _boundary_count(counter, box0)
+    if total == 0:
+        return []
     hints = _roots_hint(p)
-    box0 = _shrink_start(counter, box0, box_total, hints)
-    encs = _merge_certify(counter, _isolate(counter, box0, box_total, tol, hints))
-    on_circle = False
+    box0 = _shrink_start(counter, box0, total, hints)
+    encs = _merge_certify(counter, _isolate(counter, box0, total, tol, hints))
     if isinstance(region, Disk):
-        # a root on the circle can snap into its count, and this filter then drops it
-        on_circle = any(
-            abs(abs(e.center - region.center) - region.radius) <= e.radius for e in encs
-        )
+        for e in encs:
+            if abs(abs(e.center - region.center) - region.radius) <= e.radius:
+                raise RootOnBoundary(
+                    f"the enclosure at {e.center} of radius {e.radius:.2e} straddles the circle"
+                    f" |z - {region.center}| = {region.radius}"
+                )
         encs = [e for e in encs if region.contains(e.center)]
-    got = sum(e.multiplicity for e in encs)
-    if got != total:
-        msg = f"enclosures hold {got} roots, the region holds {total}"
-        if on_circle:
-            raise RootOnBoundary(f"{msg}, and an enclosure straddles the circle")
-        raise LocalizationFailed(msg)
     encs.sort(key=lambda e: (e.center.real, e.center.imag))
     return encs
 

@@ -145,9 +145,13 @@ def _N_at(pts, r: float, reduced: bool) -> float:
 def _points_past(f: RationalFunction, a, r: float):
     """Certified a-points on the disk of radius r (1 + bump): the one enumeration rule.
 
-    The first bump keeps the contour clear of a-points on or near |z| = r.
-    While an a-point lies on the enlarged circle (RootOnBoundary), the next
-    bump moves past it; the last bump's error propagates. Single radii,
+    The first bump keeps the enlarged circle clear of a-points on or near
+    |z| = r. The circle is not a contour: its a-points are the certified
+    enclosures with centres inside it, found in the box around it. Two
+    things raise RootOnBoundary and make the next bump: an enclosure
+    astride the enlarged circle, and an a-point on an edge of that box
+    when the box does not hold the Cauchy disk and so is counted by a
+    contour. The last bump's error propagates. Single radii,
     grids (past their top radius) and ``enumerate_a_points`` all enumerate
     here.
     """
@@ -177,7 +181,8 @@ def enumerate_a_points(f: RationalFunction, a, radius: float):
 
     They are enumerated past ``radius`` (``_points_past``), so an a-point on
     the circle |z| = radius does not stop the enumeration; one in its guard
-    band raises BoundaryCoincidence, as ``count_n`` does.
+    band raises BoundaryCoincidence. An infinite radius takes every a-point.
+    ``count_n`` counts these points.
     """
     pts = _points_past(f, a, radius)
     if _guard_hit(pts, radius):
@@ -187,10 +192,8 @@ def enumerate_a_points(f: RationalFunction, a, radius: float):
 
 def count_n(f: RationalFunction, a, r: float, reduced: bool = False) -> int:
     """Number of a-points in |z| < r (distinct points when ``reduced``)."""
-    pts = _points_past(f, a, r)
-    if _guard_hit(pts, r):
-        raise BoundaryCoincidence(f"an a-point sits in the guard band of |z| = {r:g}")
-    return _count_at(pts, r, reduced)
+    pts = enumerate_a_points(f, a, r)
+    return len(pts) if reduced else sum(m for _, m in pts)
 
 
 def counting_N(f: RationalFunction, a, r: float, reduced: bool = False) -> float:

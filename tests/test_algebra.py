@@ -178,9 +178,14 @@ def test_zero_polynomial_canonical_form():
     assert z.is_zero and z.degree == 0 and z.coefficients == (0j,)
 
 
-def test_trailing_trim():
+def test_tiny_leading_coefficient_is_kept():
+    # only exact zeros are dropped from the top; 1e-20 is the caller's
     p = Polynomial([1.0, 2.0, 1e-20])
-    assert p.degree == 1
+    assert p.degree == 2 and p.coefficients == (1, 2, 1e-20)
+    assert Polynomial([1.0, 2.0, 0.0, complex(-0.0, 0.0)]).coefficients == (1, 2)
+    # leading coefficients 1e-16 and 2e-18 of the largest one
+    assert Polynomial.from_roots(range(95, 103)).degree == 8
+    assert Polynomial.from_roots([30] * 12).degree == 12
 
 
 def test_interior_small_coefficients_survive():

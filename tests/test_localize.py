@@ -507,12 +507,13 @@ def test_region_holding_the_cauchy_disk_skips_the_outer_contours(monkeypatch, p)
         skipped.append(localize_roots(p, region, 1e-10))
         outer = (region, Box(region.center, region.size, region.size))
         assert not any(batch[0] in outer for _, batch in ladders)
-    # the contours that were skipped count the degree, and the descent is the same
-    monkeypatch.setattr(valdist.localize, "_holds_cauchy_disk", lambda region, p: False)
+    # the contour that was skipped, on the box the region is searched in,
+    # counts the degree, and the descent is the same
+    monkeypatch.setattr(valdist.localize, "_holds_cauchy_disk", lambda box, p: False)
     for region, encs in zip(regions, skipped):
         ladders.clear()
         assert localize_roots(p, region, 1e-10) == encs
-        assert ladders[0][1] == [region]
+        assert ladders[0][1] == [Box(region.center, region.size, region.size)]
     assert sum(e.multiplicity for e in skipped[0]) == p.degree
     # a box that holds every root but not the Cauchy disk counts by contour
     # and finds the same roots
@@ -530,19 +531,26 @@ def test_region_holding_the_cauchy_disk_skips_the_outer_contours(monkeypatch, p)
 
 
 @pytest.mark.parametrize(
-    "roots, region",
+    "roots, region, match",
     [
-        ([1 + 0.3j, 0.1], Box(0j, 1.0, 1.0)),
-        ([0.6 + 0.8j, 0.1], Disk(0j, 1.0)),
-        ([1.0, 0.1], Disk(0j, 1.0)),  # on a node of every rule
+        ([1 + 0.3j, 0.1], Box(0j, 1.0, 1.0), "on the region's boundary: .*contour"),
+        # no contour runs on the circle: the root's enclosure straddles it
+        ([0.6 + 0.8j, 0.1], Disk(0j, 1.0), "enclosure at .* straddles the circle"),
+        # on a node of every rule, and on the box's edge x = 1
+        ([1.0, 0.1], Disk(0j, 1.0), "on the region's boundary: .*contour"),
     ],
     ids=["box edge", "disk circle", "disk node"],
 )
-def test_root_on_the_region_boundary_fails_after_one_ladder(monkeypatch, roots, region):
+def test_root_on_the_region_boundary_fails_after_one_ladder(monkeypatch, roots, region, match):
     ladders = _count_calls(monkeypatch, _ContourCounter, "certified_all")
-    with pytest.raises(RootOnBoundary, match="on the region's boundary: .*contour"):
+    passes = _count_calls(monkeypatch, valdist.localize, "_eval_repaired")
+    with pytest.raises(RootOnBoundary, match=match):
         localize_roots(Polynomial.from_roots(roots), region, 1e-10)
-    assert len(ladders) == 1
+    if "straddles" in match:
+        # the descent places the root, and no pass runs the long ladder
+        assert max(nodes.z.size for _, nodes in passes) <= LOCKSTEP_NODES
+    else:
+        assert len(ladders) == 1
 
 
 def test_roots_on_every_split_line_fail_after_one_descent(monkeypatch):
@@ -560,6 +568,51 @@ def test_enclosure_straddling_the_disk_circle_is_a_root_on_boundary():
     p = Polynomial([-5, 3, -8, -7, 8, -6, 2, 9, -3])
     with pytest.raises(RootOnBoundary, match="straddles the circle"):
         localize_roots(p, Disk(0j, 0.7038434839602782), 1e-10)
+
+
+def test_enclosure_sums_equal_the_region_winding_counts():
+    # a box is counted by its own contour, a disk by the enclosures inside
+    # it, found in the box around it; the fourth disk's box holds the
+    # Cauchy disk, so the box counts deg p without a contour
+    rng = make_rng(31)
+    checked = 0
+    for _ in range(40):
+        p = random_polynomial(rng, int(rng.integers(3, 10)))
+        c = complex(*rng.uniform(-1.0, 1.0, size=2))
+        r = float(rng.uniform(0.3, 2.5))
+        regions = [
+            Box(c, r, float(rng.uniform(0.3, 2.5))),
+            Disk(0j, r),
+            Disk(c, r),
+            Disk(c, max(abs(c.real), abs(c.imag)) + 1.01 * _cauchy_radius(p)),
+        ]
+        for region in regions:
+            try:
+                got = sum(e.multiplicity for e in localize_roots(p, region, 1e-9))
+                want = winding_count(p, region)
+            except valdist.ValdistError:
+                continue
+            checked += 1
+            assert got == want, (p, region)
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("side", [1 - 1e-7, 1 + 1e-7], ids=["inside", "outside"])
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+def test_root_near_the_circle_counts_without_a_contour_on_it(side, radius):
+    # a contour on the circle would run the whole ladder and fail near the
+    # root; the enclosures, far smaller than its distance, place it
+    p = Polynomial.from_roots([side * radius * (0.6 + 0.8j), -0.3j, 0.5 + 0.2j, 2.5])
+    encs = localize_roots(p, Disk(0j, radius), 1e-10)
+    want = int(sum(abs(z) < radius for z in np.roots(p.coefficients[::-1])))
+    assert sum(e.multiplicity for e in encs) == want
+
+
+def test_tiny_leading_coefficient_keeps_every_root():
+    # from_roots(95...102) has a leading coefficient 1e-16 of its largest one
+    encs = localize_roots(Polynomial.from_roots(range(95, 103)), Box(0j, 200.0, 200.0), 1e-8)
+    assert [e.multiplicity for e in encs] == [1] * 8
+    assert all(abs(e.center - k) <= e.radius for e, k in zip(encs, range(95, 103)))
 
 
 def test_count_conservation_on_factored_corpus():

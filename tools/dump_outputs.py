@@ -19,7 +19,9 @@ an a-point, the same inputs through enumerate_a_points and through grids
 whose top radius puts the a-point on their first enumeration circle,
 enumerate_a_points with a root on and one just inside its circle,
 localize_roots on regions that hold the Cauchy disk and on one that does
-not, counts below and above a tight Cauchy radius, profiles nudged
+not, localize_roots on disks with a root near the circle, with no roots
+but roots near the corners of their box, and whose box but not the disk
+itself holds the Cauchy disk, counts below and above a tight Cauchy radius, profiles nudged
 off a simple and a double a-point, localize_roots around a double root
 near 1e3 (contour nodes evaluated exactly far from the origin), the error
 of a split batch with two failing children, winding counts of
@@ -103,6 +105,18 @@ BOUNDARY = {
 # 1.2e-4 (relative) inside its Cauchy bound of 2
 TIGHT_CAUCHY = P([-1.0] * 12 + [1.0])
 CAUCHY = {"complex6": (POLYS["complex6"], 1.6), "tight": (TIGHT_CAUCHY, 1.9999)}
+# localize_roots on disks, which are searched in the box around them: a
+# root 1e-7 inside the unit circle, an empty unit disk with a root near
+# each corner of its box, and an off-centre disk whose box holds the
+# Cauchy disk although the disk does not
+_C6 = POLYS["complex6"]
+_C6_CAUCHY = 1.0 + max(abs(c) for c in _C6.coefficients[:-1]) / abs(_C6.leading)
+_CORNERS = [0.95 + 0.95j, -0.95 + 0.95j, -0.95 - 0.95j, 0.95 - 0.95j]
+DISK_BY_BOX = {
+    "near-circle root": (P.from_roots([(1 - 1e-7) * (0.6 + 0.8j), -0.3j]), UNIT_DISK),
+    "empty disk, roots in its box's corners": (P.from_roots(_CORNERS), UNIT_DISK),
+    "off-centre disk whose box holds the Cauchy disk": (_C6, vd.Disk(0.3 - 0.2j, _C6_CAUCHY + 0.32)),
+}
 # a double a-point on the grid circle r = 1, whose m(1, 0) fails
 DOUBLE_ON_GRID = vd.RationalFunction(P.from_roots([1, 1, -3]))
 # counts at r = |z| / 1.002, so that the first enumeration circle runs
@@ -368,6 +382,8 @@ def library():
         }
         for label, region in regions.items():
             show(f"roots {name} {label}", lambda: vd.localize_roots(p, region, 1e-10))
+    for name, (p, region) in DISK_BY_BOX.items():
+        show(f"roots {name}", lambda: vd.localize_roots(p, region, 1e-10))
     # the first two radii are below the Cauchy radius 2 (a contour), the last above it
     for r in (1.5, 1.99, 2.5):
         show(f"count_n tight {r}", lambda: vd.count_n(vd.RationalFunction(TIGHT_CAUCHY), 0, r))
