@@ -33,8 +33,7 @@ the one nearest minus the shift, which minimizes the witness modulus.
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
 on a contour no split placed (the caller's box, the box around a disk, a
 final enclosure), for roots on every split tried, and for an enclosure
-astride a disk's circle. A caller may move the region, as
-``nevanlinna._points_past`` does.
+astride a disk's circle.
 """
 
 from __future__ import annotations
@@ -530,6 +529,7 @@ def _shrink_start(counter, box, count, hints):
     magnitude; starting the quadtree at the right scale keeps roots away
     from subdivision edges in relative terms (and saves most of the
     descent). Halving is free certificate-wise: the count pins the roots.
+    A candidate that still holds the Cauchy disk counts deg p by theorem.
     """
     for _ in range(60):
         if box.diameter <= 8.0 * (1.0 + abs(box.center)) * _EPS:
@@ -538,7 +538,7 @@ def _shrink_start(counter, box, count, hints):
         if _hint_near(hints, candidate, candidate.corners[:2], candidate.corners[2:]):
             break  # its contour would run the whole doubling ladder and fail
         try:
-            if counter.certified(candidate) != count:
+            if not _holds_cauchy_disk(candidate, counter.num) and counter.certified(candidate) != count:
                 break
         except (ContourTooClose, QuadratureNotConverged):
             break

@@ -6,6 +6,11 @@ and, separately, from numeric integration of the defining t-integral;
 the proximity function is adaptive quadrature of log+ |g| on the circle,
 cross-checked by exact Jensen identities in the test-suite.
 
+Every n(r, a), N(r, a) and pole term of T(r) is a filter by |z| of one
+a-point set per (f, target): ``_apoints`` localizes every root of
+g = num - a den once, in a box around g's Cauchy disk, so the set is a
+function of g's coefficients alone and no radius shapes the search.
+
 Each m(r, a) series, and with it T(r), is computed once per (g, grid,
 tolerance): a bounded memo in the algebra layer (64 entries, oldest out
 first) keys it on the bytes of the reduced g's numerator and
@@ -32,14 +37,8 @@ from .algebra import (
     _roots_hint,
     as_target,
 )
-from .errors import (
-    BoundaryCoincidence,
-    ConstantFunction,
-    FunctionIdenticallyA,
-    QuadratureNotConverged,
-    RootOnBoundary,
-)
-from .localize import Disk, _cauchy_radius, _merge_pairs, localize_roots
+from .errors import BoundaryCoincidence, ConstantFunction, FunctionIdenticallyA, QuadratureNotConverged
+from .localize import Box, _cauchy_radius, _merge_pairs, localize_roots
 from .quadrature import adaptive_simpson, integrate_rows
 
 # relative half-width of the guard band around the counting circle
@@ -51,9 +50,6 @@ NUDGE_FACTOR = 1.0 + 1e-9
 # a-points closer than this (relative) are one geometric point for the
 # reduced counts; matches the cancellation tolerance of the algebra layer
 COALESCE_REL = 1e-8
-# relative bumps of the enumeration circle past the radius asked for, tried
-# in turn while an a-point lies on the circle; the first gives r * 1.01
-ENUMERATION_BUMPS = (1e-2, 1.7e-2, 2.9e-2, 4.9e-2)
 
 
 @dataclass(frozen=True)
@@ -86,15 +82,38 @@ class _APoint:
     guard: float  # classification slack inherited from the enclosure radius
 
 
-def _apoints(f: RationalFunction, a: TargetValue, radius: float):
-    """Certified a-points of the reduced f within |z| < radius, coalesced into distinct points."""
-    g = _target_poly(f, a)
+def _fujiwara_bound(g: Polynomial) -> float:
+    """Fujiwara's bound 2 max(|c_(n-1)/c_n|, |c_(n-2)/c_n|^(1/2), ..., |c_0/(2 c_n)|^(1/n)).
+
+    No root of g is larger, and the largest is at least this over 2n, so
+    it follows the roots where the Cauchy radius can overshoot them by
+    orders of magnitude (Fujiwara, Tohoku Math. J. 10, 1916).
+    """
+    c, n = g.coefficients, g.degree
+    ratios = [abs(c[n - k]) / abs(g.leading) for k in range(1, n + 1)]
+    ratios[-1] /= 2.0
+    return 2.0 * max(q ** (1.0 / k) for k, q in enumerate(ratios, start=1))
+
+
+def _apoints(f: RationalFunction, a):
+    """Every certified a-point of the reduced f, coalesced into distinct points.
+
+    The one enumeration: it depends on f and the target alone, and each
+    consumer filters its points by |z|. All roots of g = num - a den are
+    localized in the box of half-width 2 R0, R0 the Cauchy radius times
+    (1 + 1e-6). That box holds the Cauchy disk, so its count is deg g by
+    theorem, and the quadtree's first shrink lands on the box of
+    half-width R0 without a contour, unless a root hint lies near that
+    box's edge; a root can lie within about 1 of the Cauchy bound, and in
+    a start box of half-width R0 every split would share the edge it sits
+    on. The tolerance is 1e-10 max(1, F), F Fujiwara's bound, which
+    follows the roots' scale where R0 may not.
+    """
+    g = _target_poly(f.reduce(), as_target(a))
     if g.degree == 0:
         return []
-    # every root lies inside the Cauchy disk, so clip huge requests to it
-    radius_eff = min(radius, _cauchy_radius(g) * (1.0 + 1e-6))
-    tol = 1e-10 * max(1.0, radius_eff)
-    encs = localize_roots(g, Disk(0j, radius_eff), tol)
+    half = 2.0 * _cauchy_radius(g) * (1.0 + 1e-6)
+    encs = localize_roots(g, Box(0j, half, half), 1e-10 * max(1.0, _fujiwara_bound(g)))
 
     # coalesce clusters that are one geometric point at desk resolution
     def close(p1, p2):
@@ -142,32 +161,6 @@ def _N_at(pts, r: float, reduced: bool) -> float:
     return total + n0 * math.log(r)
 
 
-def _points_past(f: RationalFunction, a, r: float):
-    """Certified a-points on the disk of radius r (1 + bump): the one enumeration rule.
-
-    The first bump keeps the enlarged circle clear of a-points on or near
-    |z| = r. The circle is not a contour: its a-points are the certified
-    enclosures with centres inside it, found in the box around it. Two
-    things raise RootOnBoundary and make the next bump: an enclosure
-    astride the enlarged circle, and an a-point on an edge of that box
-    when the box does not hold the Cauchy disk and so is counted by a
-    contour. The last bump's error propagates. Single radii,
-    grids (past their top radius) and ``enumerate_a_points`` all enumerate
-    here.
-    """
-    a = as_target(a)
-    if not r > 0:
-        raise ValueError("r must be positive")
-    f = f.reduce()
-    last = None
-    for bump in ENUMERATION_BUMPS:
-        try:
-            return _apoints(f, a, r * (1.0 + bump))
-        except RootOnBoundary as exc:
-            last = exc
-    raise last
-
-
 def _check_radius(r: float) -> None:
     """A radius of N, m or T: positive and finite (``count_n`` also takes inf)."""
     if not r > 0:
@@ -179,12 +172,15 @@ def _check_radius(r: float) -> None:
 def enumerate_a_points(f: RationalFunction, a, radius: float):
     """Certified a-points of f with |z| < radius, as (point, multiplicity).
 
-    They are enumerated past ``radius`` (``_points_past``), so an a-point on
-    the circle |z| = radius does not stop the enumeration; one in its guard
-    band raises BoundaryCoincidence. An infinite radius takes every a-point.
+    They are the points of the one enumeration of f and a (``_apoints``)
+    inside the circle, so an a-point on the circle |z| = radius does not
+    stop the enumeration; one in its guard band raises
+    BoundaryCoincidence. An infinite radius takes every a-point.
     ``count_n`` counts these points.
     """
-    pts = _points_past(f, a, radius)
+    if not radius > 0:
+        raise ValueError("r must be positive")
+    pts = _apoints(f, a)
     if _guard_hit(pts, radius):
         raise BoundaryCoincidence(f"an a-point sits in the guard band of |z| = {radius:g}")
     return [(p.z, p.multiplicity) for p in pts if p.modulus < radius]
@@ -203,7 +199,7 @@ def counting_N(f: RationalFunction, a, r: float, reduced: bool = False) -> float
     sum_j w_j log(r/|z_j|) over 0 < |z_j| < r plus n(0) log r.
     """
     _check_radius(r)
-    return _N_at(_points_past(f, a, r), r, reduced)
+    return _N_at(_apoints(f, a), r, reduced)
 
 
 def counting_N_integral(
@@ -215,7 +211,7 @@ def counting_N_integral(
 ) -> float:
     """Independent route: numeric integration of (n(t) - n(0))/t over (0, r]."""
     _check_radius(r)
-    pts = _points_past(f, a, r)
+    pts = _apoints(f, a)
     cfg = cfg or DEFAULT_QUADRATURE
     n0 = _origin_weight(pts, reduced)
     steps = sorted((p.modulus, 1 if reduced else p.multiplicity) for p in pts if not _at_origin(p))
@@ -321,7 +317,7 @@ def characteristic_T(f: RationalFunction, r: float, cfg: QuadratureConfig | None
     f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("the characteristic needs a non-constant function")
-    return _t_series(f, [r], cfg, _points_past(f, INFINITY, r))[0]
+    return _t_series(f, [r], cfg, _apoints(f, INFINITY))[0]
 
 
 def _check_grid(rgrid) -> list:
@@ -339,9 +335,9 @@ def _check_grid(rgrid) -> list:
     return rgrid
 
 
-def _grid_apoints(f: RationalFunction, targets, rgrid) -> dict:
-    """A-points of each target and of infinity, from ``_points_past`` at the top radius."""
-    return {a: _points_past(f, a, rgrid[-1]) for a in dict.fromkeys([*targets, INFINITY])}
+def _grid_apoints(f: RationalFunction, targets) -> dict:
+    """The a-points of each target and of infinity, one enumeration each."""
+    return {a: _apoints(f, a) for a in dict.fromkeys([*targets, INFINITY])}
 
 
 def _m_nudged(f: RationalFunction, a: TargetValue, pts, rgrid, used_r, cfg) -> list:
@@ -385,7 +381,7 @@ class NevanlinnaProfile:
 
 
 def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | None = None):
-    """One profile per target; a-points are enumerated once at the top radius.
+    """One profile per target; each target's a-points are enumerated once.
 
     Grid radii that put an a-point in the guard band are nudged upward by
     a factor of (1 + 1e-9) until clear, and the nudge is recorded.
@@ -397,7 +393,7 @@ def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | N
     f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("profiles need a non-constant function")
-    cache = _grid_apoints(f, targets, rgrid)
+    cache = _grid_apoints(f, targets)
 
     used_r = []
     nudges = []

@@ -26,10 +26,10 @@ from .algebra import (
 from .errors import ConstantFunction, ConstantPolynomial, DuplicateTargets, TooFewTargets
 from .nevanlinna import (
     QuadratureConfig,
+    _apoints,
     _grid_apoints,
     _m_series,
     _N_at,
-    _points_past,
     _t_series,
     _target_poly,
 )
@@ -91,8 +91,8 @@ def _check_grid(rgrid, two_decades: bool = False):
     return rgrid
 
 
-def _grid_zeros(p: Polynomial, rgrid):
-    return _points_past(RationalFunction.from_polynomial(p), 0.0, rgrid[-1])
+def _grid_zeros(p: Polynomial):
+    return _apoints(RationalFunction.from_polynomial(p), 0.0)
 
 
 def _smt_allowance(c_s: float, r: float) -> float:
@@ -141,7 +141,7 @@ def verify_first_fundamental(
     f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("first-fundamental verification needs a non-constant f")
-    pts = _grid_apoints(f, [a], rgrid)
+    pts = _grid_apoints(f, [a])
     t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     m_vals = _m_series(f, a, rgrid, cfg)
     series = [m + _N_at(pts[a], r, False) - t for r, m, t in zip(rgrid, m_vals, t_vals)]
@@ -223,7 +223,7 @@ def verify_second_fundamental(
     if f.is_constant:
         raise ConstantFunction("second-fundamental verification needs a non-constant f")
     c_s = 4.0 * (q + f.numerator.degree + f.denominator.degree)
-    pts = _grid_apoints(f, targets, rgrid)
+    pts = _grid_apoints(f, targets)
     t_vals = _t_series(f, rgrid, cfg, pts[INFINITY])
     series = []
     allowance = []
@@ -262,10 +262,10 @@ def claim1_chain_report(
     ratio = (m - l + 1) / m
     f_big = RationalFunction.from_polynomial(dec.F)
     target, zero = TargetValue.finite(-dec.bm), TargetValue.finite(0.0)
-    pts_f = _grid_apoints(f_big, [target, zero], rgrid)
+    pts_f = _grid_apoints(f_big, [target, zero])
     pts_target, pts_zero_f, pts_inf = pts_f[target], pts_f[zero], pts_f[INFINITY]
-    pts_zl = _grid_zeros(Polynomial([0j] * l + [1.0]), rgrid)
-    pts_r = _grid_zeros(dec.R, rgrid)
+    pts_zl = _grid_zeros(Polynomial([0j] * l + [1.0]))
+    pts_r = _grid_zeros(dec.R)
     t_vals = _t_series(f_big, rgrid, cfg, pts_inf)
 
     series = []
@@ -329,7 +329,7 @@ def remark_fft_check(p: Polynomial, rgrid) -> DeviationReport:
     if p.degree == 0:
         raise ConstantPolynomial("remark check needs a non-constant polynomial")
     rgrid = _check_grid(rgrid)
-    pts = _grid_zeros(p, rgrid)
+    pts = _grid_zeros(p)
     series = [_N_at(pts, r, False) - p.degree * math.log(r) for r in rgrid]
     drift = _tail_drift(series)
     return DeviationReport(

@@ -487,6 +487,18 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def test_a_start_box_that_holds_the_cauchy_disk_halves_without_a_contour(monkeypatch):
+    # twice the Cauchy box halves to the Cauchy box by theorem, and from
+    # there the descent is the Cauchy box's own
+    p = Polynomial.from_roots([1.5, -0.5 + 1j, -0.5 - 1j, 0.25j])
+    radius = _cauchy_radius(p) * (1 + 1e-6)
+    ladders = _count_calls(monkeypatch, _ContourCounter, "certified_all")
+    encs = localize_roots(p, Box(0j, 2 * radius, 2 * radius), 1e-10)
+    outer = (Box(0j, 2 * radius, 2 * radius), Box(0j, radius, radius))
+    assert ladders and not any(batch[0] in outer for _, batch in ladders)
+    assert encs == localize_roots(p, Box(0j, radius, radius), 1e-10)
+
+
 # z^12 - (z^11 + ... + 1): its largest root, about 1.99976, lies 1.2e-4
 # (relative) inside its Cauchy bound of 2
 TIGHT_CAUCHY = Polynomial([-1.0] * 12 + [1.0])

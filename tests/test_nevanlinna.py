@@ -18,7 +18,6 @@ from valdist import (
     QuadratureConfig,
     QuadratureNotConverged,
     RationalFunction,
-    RootOnBoundary,
     build_profile,
     characteristic_T,
     count_n,
@@ -32,7 +31,7 @@ from valdist import (
     verify_first_fundamental,
     verify_second_fundamental,
 )
-from valdist import algebra, nevanlinna
+from valdist import algebra, localize, nevanlinna, verify
 
 from conftest import make_rng, random_polynomial, random_rational
 
@@ -123,12 +122,88 @@ def test_enumerate_names_a_point_on_the_circle_and_keeps_one_just_inside():
     on_circle = RationalFunction.from_polynomial(Polynomial.from_roots([1, 0.5]))
     with pytest.raises(BoundaryCoincidence, match="guard band"):
         enumerate_a_points(on_circle, 0, 1.0)
-    # a root 3e-11 inside the circle: enumerated past it, kept, and its
-    # point lies within 1e-12 of the root
+    # a root 3e-11 inside the circle: enumerated with every other root,
+    # kept, and its point lies within 1e-12 of the root
     inside = RationalFunction.from_polynomial(Polynomial.from_roots([1 - 3e-11, 0.5, 1.5]))
     pts = enumerate_a_points(inside, 0, 1.0)
     assert [m for _, m in pts] == [1, 1]
     assert abs(pts[0][0] - 0.5) <= 1e-12 and abs(pts[1][0] - (1 - 3e-11)) <= 1e-12
+
+
+# four roots near 1e4 whose polynomial has Cauchy radius 1e16
+FAR_CLUSTER = [9990, 9995 + 3j, 10003, 10007 - 2j]
+
+
+def test_roots_far_inside_the_cauchy_radius_are_each_enumerated():
+    # the roots 20-31 have Cauchy radius 7.6e16; both lists are in the
+    # enumeration's order
+    for roots in (FAR_CLUSTER, list(range(20, 32))):
+        f = RationalFunction.from_polynomial(Polynomial.from_roots(roots))
+        pts = enumerate_a_points(f, 0, math.inf)
+        assert [m for _, m in pts] == [1] * len(roots)
+        for (z, _), root in zip(pts, roots):
+            assert abs(z - root) <= 1e-9 * abs(root), (z, root)
+
+
+def test_N_far_past_a_far_cluster_is_exact():
+    f = RationalFunction.from_polynomial(Polynomial.from_roots(FAR_CLUSTER))
+    r = 1e17
+    want = 4 * math.log(r) - sum(math.log(abs(z)) for z in FAR_CLUSTER)
+    assert counting_N(f, 0, r) == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e8, 1e16])
+def test_a_root_near_the_cauchy_radius_counts_at_infinity(c):
+    # the Cauchy radius of z - c is 1 + c
+    assert count_n(RationalFunction.from_polynomial(Polynomial([-c, 1])), 0, math.inf) == 1
+
+
+def test_an_enumeration_is_the_radius_filter_of_the_whole_set():
+    # bit for bit, at radii below, near and above the Cauchy radius and
+    # just inside and outside each a-point's modulus
+    rng = make_rng(23)
+    checked = 0
+    for _ in range(5):
+        f = random_rational(rng, 5, 2)
+        for a in (0, 0.5 - 1j, "inf"):
+            g = nevanlinna._target_poly(f, algebra.as_target(a))
+            rc = localize._cauchy_radius(g)
+            whole = enumerate_a_points(f, a, math.inf)
+            radii = [rc * s for s in (0.25, 0.5, 0.999, 1.0, 1.001, 4.0)]
+            radii += [abs(z) * s for z, _ in whole for s in (0.99, 1.01)]
+            for r in radii:
+                try:
+                    pts = enumerate_a_points(f, a, r)
+                except BoundaryCoincidence:
+                    continue
+                assert pts == [(z, m) for z, m in whole if abs(z) < r], (a, r)
+                checked += 1
+    assert checked >= 100
+
+
+# a conjugate pair of equal modulus 0.7038...; over (z - 3), whose a-point
+# polynomial at a = 0 has Cauchy radius 4
+STRADDLE_F = RationalFunction(Polynomial([-5, 3, -8, -7, 8, -6, 2, 9, -3]), Polynomial([-3, 1]))
+
+
+def test_a_profile_localizes_once_per_target_whatever_its_top_radius(monkeypatch):
+    # the same call per target, infinity included, at every grid top
+    calls = []
+    localize_roots = nevanlinna.localize_roots
+
+    def recording(p, region, tol):
+        calls.append((tuple(p.coefficients), region, tol))
+        return localize_roots(p, region, tol)
+
+    monkeypatch.setattr(nevanlinna, "localize_roots", recording)
+    per_top = []
+    # grid tops below, at and above the Cauchy radius
+    for top in (0.7038434839602782 / 1.01, 4.0, 40.0):
+        calls.clear()
+        build_profile(STRADDLE_F, [0, 1, "inf"], [top / 100, top / 10, top])
+        assert len(calls) == 3 and len({c[0] for c in calls}) == 3
+        per_top.append(list(calls))
+    assert per_top[0] == per_top[1] == per_top[2]
 
 
 # -- pointwise counts ----------------------------------------------------------------
@@ -232,38 +307,33 @@ def test_counting_routes_scipy_cross_check():
 
 
 def _record_enumerations(monkeypatch):
-    """Each _apoints call as RootOnBoundary or None, in call order."""
+    """The target of each enumeration in call order, recorded wherever a consumer looks ``_apoints`` up."""
     calls = []
     apoints = nevanlinna._apoints
 
-    def recording(*args, **kwargs):
-        try:
-            pts = apoints(*args, **kwargs)
-        except RootOnBoundary:
-            calls.append(RootOnBoundary)
-            raise
-        calls.append(None)
-        return pts
+    def recording(f, a):
+        calls.append(algebra.as_target(a))
+        return apoints(f, a)
 
-    monkeypatch.setattr(nevanlinna, "_apoints", recording)
+    for module in (nevanlinna, verify):
+        monkeypatch.setattr(module, "_apoints", recording)
     return calls
 
 
-def test_cluster_on_the_first_enumeration_circle_counts_through_a_bump(monkeypatch):
-    # three roots 1e-10 apart at c; the first enumeration circle,
-    # r * (1 + 1e-2), is |c| and runs through the cluster. The circle is no
-    # contour, and rounding the coefficients spreads the roots about 1e-6
-    # apart, so no enclosure straddles it and the first circle certifies
+def test_cluster_past_the_radius_is_one_enumeration(monkeypatch):
+    # three roots 1e-10 apart at c, just past r = |c| / 1.01; rounding the
+    # coefficients spreads them about 1e-6 apart, and the one enumeration
+    # of every root puts none of them inside the circle
     c = 0.4 + 0.1j
     f = RationalFunction.from_polynomial(Polynomial.from_roots([c, c + 1e-10, c - 1e-10]))
     calls = _record_enumerations(monkeypatch)
     assert counting_N(f, 0, abs(c) / 1.01) == 0.0
-    assert calls == [None]
+    assert calls == [algebra.as_target(0)]
 
 
-# the same cluster plus a zero at -0.2, on a grid whose top radius puts the
-# cluster on the first enumeration circle; |p| < 1 on the grid's disks, so
-# T(r) = 0 there and no 1-point lies inside them
+# the same cluster plus a zero at -0.2, on a grid whose top radius lies just
+# inside the cluster; |p| < 1 on the grid's disks, so T(r) = 0 there and no
+# 1-point lies inside them
 _C = 0.4 + 0.1j
 _CLUSTER = Polynomial.from_roots([_C, _C + 1e-10, _C - 1e-10, -0.2])
 _CLUSTER_GRID = [0.1, 0.3, abs(_C) / 1.01]
@@ -290,13 +360,12 @@ _CLUSTER_N = [0.0, math.log(0.3 / 0.2), math.log(_CLUSTER_GRID[-1] / 0.2)]
     ],
     ids=["build_profile", "verify_first_fundamental", "verify_second_fundamental", "remark_fft_check"],
 )
-def test_cluster_on_the_first_grid_circle_counts_through_a_bump(monkeypatch, call, want):
-    # grids enumerate once past their top radius by the single-radius rule,
-    # and the target 0's first circle, through the cluster, certifies
+def test_cluster_past_the_grid_top_is_one_enumeration(monkeypatch, call, want):
+    # grids filter the same one enumeration per target as single radii
     f = RationalFunction.from_polynomial(_CLUSTER)
     calls = _record_enumerations(monkeypatch)
     got = call(f)
-    assert calls and RootOnBoundary not in calls
+    assert calls and len(set(calls)) == len(calls)
     assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
 
@@ -310,9 +379,9 @@ def _oracle_moduli(coeffs):
 
 
 def test_counts_just_inside_each_root_modulus_match_the_oracle():
-    # at r = |z_k| / 1.01 the first enumeration circle runs through z_k;
-    # a conjugate pair on it snaps one root into the disk's count, which
-    # must end in RootOnBoundary (and a bump), not in LocalizationFailed
+    # r = |z_k| / 1.01 lies just inside each root modulus, that of a
+    # conjugate pair included; the counts filter the one enumeration of
+    # every root by |z| < r
     example = [-5, 3, -8, -7, 8, -6, 2, 9, -3]
     f = RationalFunction.from_polynomial(Polynomial(example))
     assert count_n(f, 0, 0.7038434839602782 / 1.01) == 0
@@ -748,7 +817,7 @@ def test_retained_results_are_slotted_and_otherwise_unchanged():
     f = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-3, 1]))
     grid = log_rgrid(1.0, 1e2, 4)
     profile = build_profile(f, [0, INFINITY], grid)[0]
-    point = nevanlinna._apoints(f, nevanlinna.as_target(0), 2.0)[0]
+    point = nevanlinna._apoints(f, 0)[0]
     report = verify_first_fundamental(f, 1, grid)
     for obj in (profile, profile.rows[0], point, report):
         assert not hasattr(obj, "__dict__")

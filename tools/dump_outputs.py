@@ -14,10 +14,13 @@ build_profile and both fundamental-theorem verifiers on the first block of
 its distribution workload, the same three calls twice over on one f for
 the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
 first block of its growth workload, localize_roots with roots on the
-region's boundary, counts whose first enumeration circle runs through
-an a-point, the same inputs through enumerate_a_points and through grids
-whose top radius puts the a-point on their first enumeration circle,
-enumerate_a_points with a root on and one just inside its circle,
+region's boundary, counts at a radius just inside an a-point's modulus,
+the same inputs through enumerate_a_points and through grids whose top
+radius is that radius, enumerate_a_points with a root on and one just
+inside its circle, a-points far inside the Cauchy radius or near it (a
+cluster near 1e4, the roots 20-31, a root at 1e8, a tiny leading
+coefficient of f - a) at an infinite radius, and a radius of 0.3 on a
+polynomial with roots near 1e3,
 localize_roots on regions that hold the Cauchy disk and on one that does
 not, localize_roots on disks with a root near the circle, with no roots
 but roots near the corners of their box, and whose box but not the disk
@@ -34,6 +37,7 @@ and the change equal.
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -119,15 +123,13 @@ DISK_BY_BOX = {
 }
 # a double a-point on the grid circle r = 1, whose m(1, 0) fails
 DOUBLE_ON_GRID = vd.RationalFunction(P.from_roots([1, 1, -3]))
-# counts at r = |z| / 1.002, so that the first enumeration circle runs
-# through z: a conjugate pair of equal modulus that straddles it, and three
-# roots 1e-10 apart at 0.4 + 0.1i
+# counts at r = |z| / 1.002, just inside the modulus of z: a conjugate pair
+# of equal modulus, and three roots 1e-10 apart at 0.4 + 0.1i
 STRADDLE = (vd.RationalFunction(P([-5, 3, -8, -7, 8, -6, 2, 9, -3])), 0.7038434839602782 / 1.002)
 _C = 0.4 + 0.1j
 CLUSTER = (vd.RationalFunction(P.from_roots([_C, _C + 1e-10, _C - 1e-10])), abs(_C) / 1.002)
-# the same two inputs at r = |z| / 1.01, the first circle of every
-# enumeration rule, through the counts, enumerate_a_points and grids whose
-# top radius is r
+# the same two inputs at r = |z| / 1.01, through the counts,
+# enumerate_a_points and grids whose top radius is r
 ON_FIRST_CIRCLE = {
     "straddle": (STRADDLE[0], 0.7038434839602782 / 1.01),
     "cluster": (CLUSTER[0], abs(_C) / 1.01),
@@ -138,6 +140,15 @@ CIRCLE_POINTS = {
     "on": vd.RationalFunction(P.from_roots([1, 0.5])),
     "inside": vd.RationalFunction(P.from_roots([1 - 3e-11, 0.5, 1.5])),
 }
+# a-points whose scale is far below the Cauchy radius of their polynomial,
+# or close to it, at an infinite radius: four roots near 1e4 (Cauchy radius
+# 1e16) and the roots 20-31 (7.6e16), a root at 1e8, and f - 0.1 for
+# f = (0.3z + 1)/(3z + 2), which rounds to 0.8 - 5.55e-17 z; then a radius
+# of 0.3 on a polynomial whose other roots lie near 1e3
+FAR_CLUSTER = vd.RationalFunction(P.from_roots([9990, 9995 + 3j, 10003, 10007 - 2j]))
+TWENTIES = vd.RationalFunction(P.from_roots(range(20, 32)))
+TINY_LEAD = vd.RationalFunction(P([1, 0.3]), P([2, 3]))
+NEAR_AND_FAR = vd.RationalFunction(P.from_roots([0.1 + 0.2j, 999, 1001j, -1000.5]))
 # a double root near 1e3 in a box around it: contour nodes in its roundoff
 # halo are evaluated exactly, far from the origin
 FAR_DOUBLE = 1000.0 + 2.0**-10 * 1j
@@ -400,6 +411,13 @@ def library():
         show(f"remark_fft_check {name} 1.01", lambda: vd.remark_fft_check(f.numerator, grid))
     for name, f in CIRCLE_POINTS.items():
         show(f"points circle {name}", lambda: vd.enumerate_a_points(f, 0, 1.0))
+    show("points far cluster inf", lambda: vd.enumerate_a_points(FAR_CLUSTER, 0, math.inf))
+    show("counting_N far cluster 1e17", lambda: vd.counting_N(FAR_CLUSTER, 0, 1e17))
+    show("points 20-31 inf", lambda: vd.enumerate_a_points(TWENTIES, 0, math.inf))
+    show("count_n z-1e8 inf", lambda: vd.count_n(vd.RationalFunction(P([-1e8, 1])), 0, math.inf))
+    show("points tiny lead 0.1 inf", lambda: vd.enumerate_a_points(TINY_LEAD, 0.1, math.inf))
+    for fn in (vd.enumerate_a_points, vd.count_n, vd.counting_N):
+        show(f"{fn.__name__} near and far 0.3", lambda: fn(NEAR_AND_FAR, 0, 0.3))
     far = P.from_roots([FAR_DOUBLE, FAR_DOUBLE, -3.0])
     show("roots far double", lambda: vd.localize_roots(far, vd.Box(FAR_DOUBLE + (3 - 2j) * 1e-5, 1e-3, 8e-4), 1e-10))
     p, children = FAILING_SPLIT
