@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -406,12 +407,12 @@ class RationalFunction:
         return f.numerator.degree == 0 and f.denominator.degree == 0
 
 
-# Results of pure per-polynomial computations (root hints, m(r, a) series),
+# Results of pure per-polynomial computations (root hints, m(r, a) rows),
 # keyed on the bytes of everything they read and never on ==: -0.0 == 0.0,
 # but the sign of a zero reaches atan2 through the quadrature knots. The
-# values are stored as tuples and handed out as fresh lists, a call that
-# raises stores nothing, and past _MEMO_ENTRIES the oldest entry goes first.
-_MEMO_ENTRIES = 64
+# values are immutable and each call gets a fresh list, a call that raises
+# stores nothing, and past _MEMO_ENTRIES the oldest entries go first.
+_MEMO_ENTRIES = 256
 _MEMO: dict = {}
 _MEMO_LOCK = threading.Lock()
 
@@ -420,16 +421,18 @@ def _coefficient_bytes(p: Polynomial) -> bytes:
     return np.asarray(p.coefficients, dtype=complex).tobytes()
 
 
-def _memo(key, compute) -> list:
-    """compute()'s list, computed once per key while the key stays in the memo."""
-    value = _MEMO.get(key)
-    if value is None:
-        value = tuple(compute())
-        with _MEMO_LOCK:  # evict and insert as one step when threads share the memo
-            if key not in _MEMO and len(_MEMO) >= _MEMO_ENTRIES:
-                del _MEMO[next(iter(_MEMO))]
-            _MEMO[key] = value
-    return list(value)
+def _memo_rows(keys, compute) -> list:
+    """One value per key: the memo's, else compute(missing positions)'s, in one call."""
+    values = [_MEMO.get(key) for key in keys]
+    missing = [i for i, v in enumerate(values) if v is None]
+    if missing:
+        fresh = compute(missing)
+        with _MEMO_LOCK:  # insert and evict as one step when threads share the memo
+            for i, v in zip(missing, fresh):
+                values[i] = _MEMO[keys[i]] = v
+            for key in list(islice(_MEMO, max(len(_MEMO) - _MEMO_ENTRIES, 0))):
+                del _MEMO[key]
+    return values
 
 
 def _roots_hint(p: Polynomial) -> list:
@@ -439,7 +442,8 @@ def _roots_hint(p: Polynomial) -> list:
     multiplicity-aware Newton step, which converges quadratically where
     the plain step stalls at the roundoff halo.
     """
-    return _memo(("hint", _coefficient_bytes(p)), lambda: _solve_hint(p))
+    (hint,) = _memo_rows([("hint", _coefficient_bytes(p))], lambda _: [tuple(_solve_hint(p))])
+    return list(hint)
 
 
 def _solve_hint(p: Polynomial) -> list:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -190,6 +191,8 @@ def _cmd_fta_witness(args) -> int:
     p = _load_polynomial(args.poly)
     if not args.tol > 0:
         raise _UsageError("tol must be positive")
+    if not math.isfinite(args.tol):
+        raise _UsageError("tol must be finite")
     trace = fta_witness(p, args.tol)
     levels = []
     for lv in trace.claim1_checks:

@@ -787,6 +787,8 @@ def fta_witness(p: Polynomial, tol: float = 1e-10) -> WitnessTrace:
         raise ConstantPolynomial("constant polynomials have no roots")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     levels: list[WitnessLevel] = []
     w = _witness_recurse(p, levels)
     w = _newton(p, p.derivative(), w)[0]

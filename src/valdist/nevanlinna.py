@@ -11,13 +11,13 @@ a-point set per (f, target): ``_apoints`` localizes every root of
 g = num - a den once, in a box around g's Cauchy disk, so the set is a
 function of g's coefficients alone and no radius shapes the search.
 
-Each m(r, a) series, and with it T(r), is computed once per (g, grid,
-tolerance): a bounded memo in the algebra layer (64 entries, oldest out
-first) keys it on the bytes of the reduced g's numerator and
-denominator coefficients, of the radii as float64 and of ``abs_tol``. The
-companion-matrix root hints are memoized in the same way, keyed on the
-bytes of the polynomial's coefficients. A-point enumerations are not
-memoized.
+Each m(r, a), and with it T(r), is computed once per (g, radius,
+tolerance): a bounded memo in the algebra layer (256 entries, oldest out
+first) keys each row on the bytes of the reduced g's numerator and
+denominator coefficients and of ``abs_tol``, and on the radius, so a
+series integrates only the radii it has no row for. The companion-matrix
+root hints are memoized in the same way, keyed on the bytes of the
+polynomial's coefficients. A-point enumerations are not memoized.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .algebra import (
     RationalFunction,
     TargetValue,
     _coefficient_bytes,
-    _memo,
+    _memo_rows,
     _roots_hint,
     as_target,
 )
@@ -59,6 +59,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
+        if not math.isfinite(self.abs_tol):
+            raise ValueError("abs_tol must be finite")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -270,33 +272,40 @@ def _log_plus(gn: Polynomial, gd: Polynomial, r, theta, tries: int = 0):
 
 
 def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
-    """m(r, a) at each radius, all radii in one quadrature, memoized per (g, grid, tolerance).
+    """m(r, a) at each radius, memoized per (g, radius, tolerance).
 
-    The key holds the bytes of everything the quadrature reads, so a hit
-    returns exactly what it would. g and its root hints are built once.
+    The radii with no row in the memo are integrated in one quadrature; a
+    row does not depend on the rows it is integrated with, so a hit
+    returns exactly what the quadrature would. Each key holds the bytes of
+    everything else the quadrature reads. g and its root hints are built
+    once.
     """
     cfg = cfg or DEFAULT_QUADRATURE
     f = f.reduce()
     gn, gd = (f.numerator, f.denominator) if a.is_infinite else (f.denominator, _target_poly(f, a))
     r_row = np.asarray(radii, dtype=float)
     abs_tol = float(cfg.abs_tol)
-    key = ("m", _coefficient_bytes(gn), _coefficient_bytes(gd), r_row.tobytes(), abs_tol.hex())
+    head = ("m", _coefficient_bytes(gn), _coefficient_bytes(gd), abs_tol.hex())
+    # every radius here passed _check_radius or _check_grid: a positive,
+    # finite float, for which == is bit equality, so it keys as it is
+    keys = [(*head, r) for r in r_row.tolist()]
 
-    def series():
+    def rows(missing):
+        r_miss = r_row[missing]
         hints = _roots_hint(gd) + _roots_hint(gn)
         tau = 2.0 * math.pi
         # the Simpson error estimator can be optimistic at log+ kinks, so aim
         # an order below the promised tolerance
         tol = abs_tol * tau / 16.0
-        knots = [_singularity_knots(r, hints) for r in r_row.tolist()]
+        knots = [_singularity_knots(r, hints) for r in r_miss.tolist()]
         integrals = integrate_rows(
-            lambda theta, row: _log_plus(gn, gd, r_row[row], theta), 0.0, tau, abs_tol=tol, knots=knots
+            lambda theta, row: _log_plus(gn, gd, r_miss[row], theta), 0.0, tau, abs_tol=tol, knots=knots
         )
         if any(math.isnan(t) for t in integrals):
             raise QuadratureNotConverged("integrand not finite on the circle")
         return [max(t / tau, 0.0) for t in integrals]
 
-    return _memo(key, series)
+    return _memo_rows(keys, rows)
 
 
 def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:
@@ -338,26 +347,6 @@ def _check_grid(rgrid) -> list:
 def _grid_apoints(f: RationalFunction, targets) -> dict:
     """The a-points of each target and of infinity, one enumeration each."""
     return {a: _apoints(f, a) for a in dict.fromkeys([*targets, INFINITY])}
-
-
-def _m_nudged(f: RationalFunction, a: TargetValue, pts, rgrid, used_r, cfg) -> list:
-    """m(r, a) at the used radii, where ``pts`` are the a-points and only some radii were nudged.
-
-    If no a-point of this target put a nudged radius in the guard band,
-    the caller's grid is integrated as one series, the memo entry that
-    the verifiers read, and the nudged radii as rows of their own. A row
-    does not depend on the rows it is integrated with, so each value is
-    the one a series on the used radii gives. The grid row of a radius
-    that this target's a-points nudged is costly or fails (a log
-    singularity on the circle), so that target keeps the used radii.
-    """
-    nudged = [i for i, (r, u) in enumerate(zip(rgrid, used_r)) if r != u]
-    if not nudged or any(_guard_hit(pts, rgrid[i]) for i in nudged):
-        return _m_series(f, a, used_r, cfg)
-    m = _m_series(f, a, rgrid, cfg)
-    for i, m_val in zip(nudged, _m_series(f, a, [used_r[i] for i in nudged], cfg)):
-        m[i] = m_val
-    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,8 +400,7 @@ def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | N
             nudges.append((r_req, r))
         used_r.append(r)
 
-    m_inf = _m_nudged(f, INFINITY, cache[INFINITY], rgrid, used_r, cfg)
-    t_values = [m + _N_at(cache[INFINITY], r, False) for r, m in zip(used_r, m_inf)]
+    t_values = _t_series(f, used_r, cfg, cache[INFINITY])
 
     profiles = []
     for a in targets:
@@ -420,7 +408,7 @@ def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | N
         if a.is_infinite:
             m_values = [t_val - _N_at(pts, r, False) for r, t_val in zip(used_r, t_values)]
         else:
-            m_values = _m_nudged(f, a, pts, rgrid, used_r, cfg)
+            m_values = _m_series(f, a, used_r, cfg)
         rows = [
             ProfileRow(
                 r=r,

@@ -44,6 +44,8 @@ def log_rgrid(rmin: float = 1.0, rmax: float = 1e4, points: int = 32):
     """Logarithmically spaced radii, the default grid of every verifier."""
     if not (rmin > 0 and rmax > rmin and points >= 2):
         raise ValueError("need rmin > 0, rmax > rmin, points >= 2")
+    if not math.isfinite(rmax):
+        raise ValueError("rmax must be finite")
     return _check_grid(np.geomspace(rmin, rmax, points))
 
 

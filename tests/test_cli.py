@@ -267,7 +267,11 @@ INPUT_CHECKS = {
     "witness tol": ("fta-witness --poly {p} --tol -1", "tol must be positive"),
     "seed": ("profile --function {f} --a 0 --seed 0", "unrecognized arguments: --seed 0"),
     "span": ("verify degree --poly {p} --rmax 10", "rgrid must span at least two decades"),
-    "grid": ("verify remark --poly {p} --rmax inf", "rgrid must be strictly increasing"),
+    # radii that round to one float
+    "grid": ("verify remark --poly {p} --rmax 1.0000000000000002 --points 5", "rgrid must be strictly increasing"),
+    "rmax": ("verify remark --poly {p} --rmax 1e400", "rmax must be finite"),
+    "infinite tol": ("verify fft --function {f} --a 1 --tol inf", "abs_tol must be finite"),
+    "infinite witness tol": ("fta-witness --poly {p} --tol inf", "tol must be finite"),
 }
 
 
@@ -288,7 +292,7 @@ def test_input_check_is_usage_error(tmp_path, capsys, square_file, argv, message
 # argvs whose float edges make numpy overflow or meet invalid values:
 # stderr holds valdist's own line and nothing from numpy
 FLOAT_EDGES = {
-    "infinite rmax": ("verify remark --poly {p} --rmax inf", 2, "error: rgrid must be strictly increasing\n"),
+    "infinite rmax": ("verify remark --poly {p} --rmax inf", 2, "error: rmax must be finite\n"),
     "subnormal radii": (
         "profile --function {f} --a 0,1,inf --rmin 1e-320 --rmax 1e-319 --points 40 --out {out}",
         0,

@@ -118,6 +118,16 @@ def test_grid_must_be_finite(call):
         call([1.0, math.inf, math.inf])
 
 
+def test_tolerances_and_grid_bounds_must_be_finite():
+    # an infinite abs_tol would stop every refinement at its seed segments
+    with pytest.raises(ValueError, match="abs_tol must be finite"):
+        QuadratureConfig(abs_tol=math.inf)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        localize.fta_witness(Polynomial([1, 0, 0, 1]), math.inf)
+    with pytest.raises(ValueError, match="rmax must be finite"):
+        log_rgrid(1.0, math.inf, 8)
+
+
 def test_enumerate_names_a_point_on_the_circle_and_keeps_one_just_inside():
     on_circle = RationalFunction.from_polynomial(Polynomial.from_roots([1, 0.5]))
     with pytest.raises(BoundaryCoincidence, match="guard band"):
@@ -463,6 +473,7 @@ def test_growth_series_calls_the_integrand_as_its_deepest_radius_does(monkeypatc
     deepest = 0
     for r in grid:
         calls.clear()
+        algebra._MEMO.clear()  # else each radius is a hit on the grid's row
         proximity_m(RationalFunction.from_polynomial(p), "inf", r)
         deepest = max(deepest, calls[False])
     assert series <= deepest + retries
@@ -704,18 +715,19 @@ def test_memo_misses_on_another_tolerance_grid_target_or_signed_zero(monkeypatch
     assert sum(solves.values()) == 4
 
 
-def test_memo_holds_at_most_64_entries_oldest_out_first():
-    polys = [Polynomial([k, 1]) for k in range(100)]
+def test_memo_holds_at_most_its_cap_oldest_out_first():
+    cap = algebra._MEMO_ENTRIES
+    polys = [Polynomial([k, 1]) for k in range(cap + 40)]
     for p in polys:
         algebra._roots_hint(p)
-        assert len(algebra._MEMO) <= 64
-    assert len(algebra._MEMO) == 64
+        assert len(algebra._MEMO) <= cap
+    assert len(algebra._MEMO) == cap
     keys = [("hint", algebra._coefficient_bytes(p)) for p in polys]
-    assert list(algebra._MEMO) == keys[-64:]
+    assert list(algebra._MEMO) == keys[-cap:]
 
 
 def test_memo_shared_by_threads_stays_bounded_and_exact():
-    polys = [Polynomial([k, 1, 1]) for k in range(160)]
+    polys = [Polynomial([k, 1, 1]) for k in range(algebra._MEMO_ENTRIES + 96)]
     expected = [algebra._solve_hint(p) for p in polys]
     errors = []
 
@@ -739,7 +751,7 @@ def test_memo_shared_by_threads_stays_bounded_and_exact():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert errors == [] and len(algebra._MEMO) <= 64
+    assert errors == [] and len(algebra._MEMO) <= algebra._MEMO_ENTRIES
 
 
 def test_memo_stores_no_failed_series(monkeypatch):
@@ -774,11 +786,10 @@ def test_distribution_triple_integrates_each_series_once(monkeypatch):
     assert len(solves) == 3 and set(solves.values()) == {1}
 
 
-def test_nudged_radius_is_integrated_as_a_row_of_its_own(monkeypatch):
-    # the zeros +-1 of z^2 - 1 nudge r = 1; f has no poles, and its 2-points
-    # +-sqrt(3) are clear of the grid, so m(r, inf) and m(r, 2) are taken
-    # on the caller's grid, which the verifier then reads, plus one row at
-    # the nudged radius; m(r, 0) is taken on the used radii
+def test_profile_integrates_its_used_radii_and_a_verifier_only_the_rows_it_lacks(monkeypatch):
+    # the zeros +-1 of z^2 - 1 nudge r = 1; the profile takes T(r), m(r, 0)
+    # and m(r, 2) on the used radii, and the verifier on the caller's grid
+    # then integrates T and m(r, 2) at r = 1 alone
     rows = []
     integrate = nevanlinna.integrate_rows
 
@@ -790,9 +801,9 @@ def test_nudged_radius_is_integrated_as_a_row_of_its_own(monkeypatch):
     grid = [0.5, 1.0, 2.0]
     profiles = build_profile(Z2_MINUS_1, [0, 2, INFINITY], grid)
     ((_, nudged),) = profiles[0].nudges
-    assert rows == [3, 1, 3, 3, 1]
+    assert rows == [3, 3, 3]
     verify_first_fundamental(Z2_MINUS_1, 2, grid)
-    assert rows == [3, 1, 3, 3, 1]
+    assert rows == [3, 3, 3, 1, 1]
     # every row is the m of a lone series at its radius; with no poles,
     # the infinite target's m is T - 0.0, which is m
     for prof in profiles:
@@ -800,6 +811,59 @@ def test_nudged_radius_is_integrated_as_a_row_of_its_own(monkeypatch):
         for row in prof.rows:
             algebra._MEMO.clear()
             assert row.m == nevanlinna._m_series(Z2_MINUS_1, prof.target, [row.r], None)[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_after_a_subset_of_its_grid_equals_a_cold_series(seed):
+    # the rows a subset stored are read back, the others integrated in one
+    # call: every value has the bits of a cold series on the whole grid
+    rng = make_rng(seed)
+    f = random_rational(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3)))
+    grid = log_rgrid(0.5, 50.0, 12)
+    subset = sorted(rng.choice(len(grid), size=int(rng.integers(1, len(grid))), replace=False).tolist())
+    for a in (INFINITY, nevanlinna.as_target(complex(*rng.uniform(-1.0, 1.0, 2)))):
+        algebra._MEMO.clear()
+        cold = nevanlinna._m_series(f, a, grid, None)
+        algebra._MEMO.clear()
+        part = nevanlinna._m_series(f, a, [grid[i] for i in subset], None)
+        warm = nevanlinna._m_series(f, a, grid, None)
+        assert [m.hex() for m in part] == [cold[i].hex() for i in subset]
+        assert [m.hex() for m in warm] == [m.hex() for m in cold]
+
+
+def test_proximity_at_a_grid_radius_after_a_series_integrates_nothing(monkeypatch):
+    series = Counter()
+    integrate = nevanlinna.integrate_rows
+    monkeypatch.setattr(
+        nevanlinna, "integrate_rows", lambda *a, **kw: series.update([1]) or integrate(*a, **kw)
+    )
+    f = RationalFunction(Polynomial([-4, 0, 1]), Polynomial([-3, 1]))
+    grid = log_rgrid(1.0, 1e2, 8)
+    m_grid = nevanlinna._m_series(f, nevanlinna.as_target(1), grid, None)
+    assert series[1] == 1
+    assert [proximity_m(f, 1, r) for r in grid] == m_grid
+    assert series[1] == 1
+
+
+def test_distribution_triple_on_32_radii_integrates_each_row_once(monkeypatch):
+    # a row is one (g, r): the root hints name g, and each row takes its
+    # knots once, at its own radius
+    rows = Counter()
+    knots = nevanlinna._singularity_knots
+
+    def counted(r, hints):
+        rows[r, tuple(hints)] += 1
+        return knots(r, hints)
+
+    monkeypatch.setattr(nevanlinna, "_singularity_knots", counted)
+    f = RationalFunction(Polynomial([-4, 0, 1]), Polynomial([-3, 1]))
+    grid = log_rgrid(1.0, 1e4, 32)
+    targets = [0, INFINITY, 1]
+    build_profile(f, targets, grid)
+    verify_first_fundamental(f, 1, grid)
+    verify_second_fundamental(f, targets, grid)
+    # T(r), m(r, 0) and m(r, 1) on every radius
+    assert len(rows) == 3 * len(grid) and set(rows.values()) == {1}
 
 
 def test_profile_nudged_off_a_double_a_point_keeps_the_used_radii():

@@ -25,7 +25,9 @@ localize_roots on regions that hold the Cauchy disk and on one that does
 not, localize_roots on disks with a root near the circle, with no roots
 but roots near the corners of their box, and whose box but not the disk
 itself holds the Cauchy disk, counts below and above a tight Cauchy radius, profiles nudged
-off a simple and a double a-point, localize_roots around a double root
+off a simple and a double a-point, a nudged profile followed on one
+empty memo by the first-theorem verifier on its grid, m at the nudged
+radius and T at the grid radius, localize_roots around a double root
 near 1e3 (contour nodes evaluated exactly far from the origin), the error
 of a split batch with two failing children, winding counts of
 rationals with a pole on a box corner and just inside a box edge, and
@@ -324,6 +326,16 @@ def show(label, call):
     print(f"## {label}\n{value!r}")
 
 
+def memo_after_nudged_profile(f):
+    """A nudged profile, then calls that read its rows or the grid's, from one empty memo."""
+    vd.algebra._MEMO.clear()
+    grid = [0.5, 1.0, 2.0]
+    profiles = vd.build_profile(f, [0, 2, "inf"], grid)
+    ((_, nudged),) = profiles[0].nudges
+    fft = vd.verify_first_fundamental(f, 2, grid)
+    return profiles, fft, vd.proximity_m(f, 2, nudged), vd.characteristic_T(f, 1.0)
+
+
 def library():
     for name, f in FUNCTIONS.items():
         show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID))
@@ -347,6 +359,7 @@ def library():
     show("profile z2-1 nudged", lambda: vd.build_profile(z2, [0, "inf"], [0.5, 1.0, 2.0]))
     show("profile z2-1 nudged 0 2 inf", lambda: vd.build_profile(z2, [0, 2, "inf"], [0.5, 1.0, 2.0]))
     show("profile double a-point nudged", lambda: vd.build_profile(DOUBLE_ON_GRID, [0, "inf"], [0.5, 1.0, 2.0]))
+    show("memo nudged profile then grid", lambda: memo_after_nudged_profile(z2))
     # the last radius of the series fails after the first one has converged
     show("profile z2-1 last radius 1e200", lambda: vd.build_profile(z2, [0, "inf"], [1.0, 1e200]))
     show("profile hugging", lambda: vd.build_profile(HUGGING, TARGETS, GRID))

@@ -1,17 +1,19 @@
-"""Usage: python tools/work_hash.py <checkout> [--items 60] [--seeds 1 2 3]
+"""Usage: python tools/work_hash.py <checkout> [--items 60] [--seeds 1 2 3] [--points 16]
 
 Runs the first ``--items`` items of the benchmark's ``distribution``
 stream (perfbench/corpus.py next to this tool) for each seed, in one
 process, on valdist from <checkout>/src: build_profile, then
-verify_first_fundamental and verify_second_fundamental, as
-perfbench/run.py does. Prints the sha256 of the results' reprs (an
-item that raises contributes its error's name and message), the failed
-items, and the contour passes and nodes of the run. A pass is one call
-of ``localize._ContourCounter._fresh``; its nodes are the contour points
-it evaluates, counted once however many polynomials are evaluated at
-them. The counts come from wrapping that method from outside, so the
-program is run unchanged. Two checkouts that do the same work print the
-same three lines.
+verify_first_fundamental and verify_second_fundamental on a grid of
+``--points`` radii, as perfbench/run.py does. Prints the sha256 of the
+results' reprs (an item that raises contributes its error's name and
+message), the failed items, the contour passes and nodes of the run, and
+its quadrature calls and rows. A pass is one call of
+``localize._ContourCounter._fresh``; its nodes are the contour points it
+evaluates, counted once however many polynomials are evaluated at them.
+A quadrature call is one call of ``nevanlinna.integrate_rows``; its rows
+are the radii it integrates. The counts come from wrapping those two
+functions from outside, so the program is run unchanged. Two checkouts
+that do the same work print the same four lines.
 """
 
 import argparse
@@ -28,14 +30,15 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--items", type=int, default=60)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--points", type=int, default=16)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
     import valdist as vd
-    from valdist import localize
+    from valdist import localize, nevanlinna
 
-    work = {"passes": 0, "nodes": 0}
+    work = {"passes": 0, "nodes": 0, "calls": 0, "rows": 0}
     fresh = localize._ContourCounter._fresh
 
     def counted(self, regions, rules):
@@ -46,13 +49,21 @@ def main(argv=None) -> int:
         return fresh(self, regions, rules)
 
     localize._ContourCounter._fresh = counted
+    integrate = nevanlinna.integrate_rows
+
+    def counted_rows(fn, a, b, *, abs_tol, knots):
+        work["calls"] += 1
+        work["rows"] += len(knots)
+        return integrate(fn, a, b, abs_tol=abs_tol, knots=knots)
+
+    nevanlinna.integrate_rows = counted_rows
 
     digest = hashlib.sha256()
     failed = []
     for seed in args.seeds:
         for item in itertools.islice(corpus.distribution(seed), args.items):
             f = vd.RationalFunction(vd.Polynomial(item.coeffs), vd.Polynomial(item.den))
-            grid = vd.log_rgrid(1.0, 1e4, 16)
+            grid = vd.log_rgrid(1.0, 1e4, args.points)
             targets = list(item.targets)
             try:
                 out = (
@@ -69,6 +80,7 @@ def main(argv=None) -> int:
     for line in failed:
         print(f"  {line}")
     print(f"passes {work['passes']} nodes {work['nodes']}")
+    print(f"quadrature calls {work['calls']} rows {work['rows']}")
     return 0
 
 
