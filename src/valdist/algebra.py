@@ -23,7 +23,8 @@ from .errors import (
 )
 
 # Root-coincidence tolerance for numerator/denominator cancellation,
-# relative to the coefficient scale of the pair.
+# relative to max(1, |root|): a root's position does not change when the
+# coefficients are scaled, so neither does what cancels
 GCD_TOL_REL = 1e-8
 # relative threshold below which a coefficient counts as vanished
 SHAPE_TOL_REL = 1e-9
@@ -494,7 +495,7 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
     and carries ``reduced=True``. Coincidence is decided on root clusters:
     each numerator root is greedily matched to the nearest unused
     denominator root and the pair is cancelled when their distance is
-    below GCD_TOL_REL times the joint coefficient scale.
+    below GCD_TOL_REL times max(1, |numerator root|).
     """
     if f.denominator.is_zero:
         raise IdenticallyZeroDenominator("denominator is identically zero")
@@ -503,7 +504,6 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
         return RationalFunction(Polynomial.zero(), Polynomial.one(), reduced=True)
     if num.degree == 0 or den.degree == 0:
         return RationalFunction(num, den, reduced=True)
-    tol = GCD_TOL_REL * max(num.coefficient_scale, den.coefficient_scale)
     nroots = sorted(_roots_hint(num), key=lambda z: (z.real, z.imag))
     droots = sorted(_roots_hint(den), key=lambda z: (z.real, z.imag))
     used = [False] * len(droots)
@@ -516,7 +516,7 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
             d = abs(zn - zd)
             if d < best_d:
                 best, best_d = i, d
-        if best is not None and best_d < tol * max(1.0, abs(zn)):
+        if best is not None and best_d < GCD_TOL_REL * max(1.0, abs(zn)):
             used[best] = True
             cancelled.append(0.5 * (zn + droots[best]))
     if not cancelled:

@@ -26,9 +26,12 @@ gives the same enclosures. Once a box is small, a
 Newton endgame polishes the root and certifies a tiny disk around it by
 an independent winding count.
 Uncertified companion-matrix root hints only order the split points and
-stop the start box; winding counts stay the certificate. The witness pipeline
-uses the same descent: of the recentred polynomial's enclosures, it takes
-the one nearest minus the shift, which minimizes the witness modulus.
+stop the start box; winding counts stay the certificate. Every search
+for all the roots of a polynomial, the a-point enumeration's and the
+witness pipeline's, is one ``_all_roots`` call: the descent from twice
+the Cauchy box, at the caller's tolerance. Of the recentred polynomial's
+enclosures, the witness takes the one nearest minus the shift, which
+minimizes the witness modulus.
 
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
 on a contour no split placed (the caller's box, the box around a disk, a
@@ -310,17 +313,7 @@ class _ContourCounter:
                     sums = gi.sum(axis=2)
                     if n == WINDING_START_NODES:
                         sums -= 0.5 * (gi[..., 0] + gi[..., -1])
-                    # side / (2 pi i m) as CPython divides a complex by
-                    # it, then the edges summed in order: the bits of a
-                    # per-box loop in Python arithmetic, up to the sign
-                    # of an exact zero, which no count reads
-                    c = 2.0 * math.pi * (n // 4)
-                    sides = nodes.geometry
-                    w = np.empty_like(sides)
-                    w.real = sides.imag / c
-                    w.imag = -sides.real / c
-                    terms = w * sums
-                    values = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+                    values = (nodes.geometry * sums).sum(axis=1) / (2j * math.pi * (n // 4))
                 # nan marks nodes where the derivative vanished; fmin skips
                 # it, and a row of nan reads inf
                 d = np.fmin.reduce(dist[..., s], axis=axes, initial=math.inf)
@@ -454,8 +447,9 @@ def _endgame(counter, box, count, tol):
     """Polish the box's root cluster by Newton and certify a tiny disk.
 
     Returns None while the box is above the endgame gate (5% of its
-    scale for a simple root, 0.1% for a cluster) or when no disk of
-    radius <= 0.45 tol certifies.
+    scale for a simple root, 0.1% for a cluster), and when its one disk,
+    of radius max(1e-13 (1 + |z|), 8 step), exceeds 0.45 tol or does
+    not certify the count.
     """
     gate = 0.05 if count == 1 else 1e-3
     if box.diameter > gate * (1.0 + abs(box.center)):
@@ -471,16 +465,13 @@ def _endgame(counter, box, count, tol):
     if not box.contains(z, pad=-1e-9 * box.size):
         return None
     rho = max(rho_min, 8.0 * step)
-    for _ in range(2):
-        if rho > 0.45 * tol:
-            return None
-        try:
-            w = counter.certified(Disk(z, rho))
-        except (ContourTooClose, QuadratureNotConverged):
-            rho *= 64.0
-            continue
-        return RootEnclosure(Disk(z, rho), count) if w == count else None
-    return None
+    if rho > 0.45 * tol:
+        return None
+    try:
+        w = counter.certified(Disk(z, rho))
+    except (ContourTooClose, QuadratureNotConverged):
+        return None
+    return RootEnclosure(Disk(z, rho), count) if w == count else None
 
 
 def _hint_near(hints, box, xs, ys) -> bool:
@@ -637,6 +628,11 @@ def _merge_certify(counter, finals):
     return out
 
 
+def _cauchy_radius(p: Polynomial) -> float:
+    rest = max(abs(c) for c in p.coefficients[:-1])
+    return 1.0 + rest / abs(p.leading)
+
+
 def _holds_cauchy_disk(box: Box, p: Polynomial) -> bool:
     """The box holds p's Cauchy disk |z| <= 1 + max |c_i| / |c_n| (i < n),
     which holds every root, with a relative margin of 1e-12 for rounding."""
@@ -686,6 +682,20 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
     return encs
 
 
+def _all_roots(p: Polynomial, tol: float):
+    """Certified enclosures of every root of p, in the box of half-width 2 R0.
+
+    R0 is the Cauchy radius times (1 + 1e-6). That box holds the Cauchy
+    disk, so its count is deg p by theorem, and the quadtree's first
+    shrink lands on the box of half-width R0 without a contour, unless a
+    root hint lies near that box's edge; a root can lie within about 1 of
+    the Cauchy bound, and in a start box of half-width R0 every split
+    would share the edge it sits on. Each caller picks its own ``tol``.
+    """
+    half = 2.0 * _cauchy_radius(p) * (1.0 + 1e-6)
+    return localize_roots(p, Box(0j, half, half), tol)
+
+
 # -- the induction pipeline ----------------------------------------------------------
 
 
@@ -708,11 +718,6 @@ class WitnessTrace:
     residual: float
 
 
-def _cauchy_radius(p: Polynomial) -> float:
-    rest = max(abs(c) for c in p.coefficients[:-1])
-    return 1.0 + rest / abs(p.leading)
-
-
 def _quadratic_root(p: Polynomial) -> complex:
     """Numerically stable quadratic root (sign-adjusted to avoid cancellation)."""
     c0, c1, c2 = p.coefficients
@@ -724,15 +729,6 @@ def _quadratic_root(p: Polynomial) -> complex:
         return 0j  # both roots at the origin
     r1, r2 = q / c2, c0 / q
     return min(r1, r2, key=lambda z: (z.real, z.imag))
-
-
-def _nearest_root(q: Polynomial, bias: complex) -> complex:
-    """Centre of the certified root enclosure of q nearest ``bias``, inside q's Cauchy disk."""
-    radius = _cauchy_radius(q) * (1.0 + 1e-9)
-    encs = localize_roots(q, Box(0j, radius, radius), WITNESS_TOL_REL * radius)
-    if not encs:
-        raise LocalizationFailed("no roots inside the Cauchy bound")
-    return min(encs, key=lambda e: abs(e.center - bias)).center
 
 
 def _witness_recurse(p: Polynomial, levels: list) -> complex:
@@ -759,7 +755,8 @@ def _witness_recurse(p: Polynomial, levels: list) -> complex:
             dec = claim1_shape_check(q)
             kind = "claim1"
             # the root of q nearest -h minimizes the final witness modulus
-            root = _nearest_root(q, -h)
+            encs = _all_roots(q, WITNESS_TOL_REL * _cauchy_radius(q))
+            root = min(encs, key=lambda e: abs(e.center + h)).center
         except BinomialShape as b:
             kind = "binomial"
             base = (-b.constant / b.leading) ** (1.0 / b.degree)

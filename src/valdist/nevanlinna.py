@@ -38,7 +38,7 @@ from .algebra import (
     as_target,
 )
 from .errors import BoundaryCoincidence, ConstantFunction, FunctionIdenticallyA, QuadratureNotConverged
-from .localize import Box, _cauchy_radius, _merge_pairs, localize_roots
+from .localize import _all_roots, _merge_pairs
 from .quadrature import adaptive_simpson, integrate_rows
 
 # relative half-width of the guard band around the counting circle
@@ -101,21 +101,15 @@ def _apoints(f: RationalFunction, a):
     """Every certified a-point of the reduced f, coalesced into distinct points.
 
     The one enumeration: it depends on f and the target alone, and each
-    consumer filters its points by |z|. All roots of g = num - a den are
-    localized in the box of half-width 2 R0, R0 the Cauchy radius times
-    (1 + 1e-6). That box holds the Cauchy disk, so its count is deg g by
-    theorem, and the quadtree's first shrink lands on the box of
-    half-width R0 without a contour, unless a root hint lies near that
-    box's edge; a root can lie within about 1 of the Cauchy bound, and in
-    a start box of half-width R0 every split would share the edge it sits
-    on. The tolerance is 1e-10 max(1, F), F Fujiwara's bound, which
-    follows the roots' scale where R0 may not.
+    consumer filters its points by |z|. Every root of g = num - a den is
+    localized by ``localize._all_roots``, at the tolerance
+    1e-10 max(1, F), F Fujiwara's bound, which follows the roots' scale
+    where the Cauchy radius may not.
     """
     g = _target_poly(f.reduce(), as_target(a))
     if g.degree == 0:
         return []
-    half = 2.0 * _cauchy_radius(g) * (1.0 + 1e-6)
-    encs = localize_roots(g, Box(0j, half, half), 1e-10 * max(1.0, _fujiwara_bound(g)))
+    encs = _all_roots(g, 1e-10 * max(1.0, _fujiwara_bound(g)))
 
     # coalesce clusters that are one geometric point at desk resolution
     def close(p1, p2):
@@ -405,10 +399,7 @@ def build_profile(f: RationalFunction, targets, rgrid, cfg: QuadratureConfig | N
     profiles = []
     for a in targets:
         pts = cache[a]
-        if a.is_infinite:
-            m_values = [t_val - _N_at(pts, r, False) for r, t_val in zip(used_r, t_values)]
-        else:
-            m_values = _m_series(f, a, used_r, cfg)
+        m_values = _m_series(f, a, used_r, cfg)
         rows = [
             ProfileRow(
                 r=r,

@@ -132,13 +132,19 @@ def _direct_trapezoid(f, region, n):
 
 def test_running_sum_matches_direct_rule():
     rng = make_rng(43)
+    cases = []
     for trial in range(8):
         f = random_rational(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
         center = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if trial % 2:
-            region = Box(center, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
+            cases.append((f, Box(center, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))))
         else:
-            region = Disk(center, rng.uniform(0.3, 2.0))
+            cases.append((f, Disk(center, rng.uniform(0.3, 2.0))))
+    # real coefficients on boxes symmetric about the real axis: edge sums
+    # with imaginary parts that cancel exactly
+    real = RationalFunction(Polynomial([-2.0, 0.5, 1.0, 3.0]), Polynomial([4.0, -1.0, 1.0]))
+    cases += [(real, Box(0j, 2.0, 2.0)), (real, Box(0.5 + 0j, 1.0, 3.0))]
+    for trial, (f, region) in enumerate(cases):
         counter = _ContourCounter(f.numerator, f.denominator)
         value, n = 0j, WINDING_START_NODES
         while n <= 2**14:
@@ -244,48 +250,6 @@ def test_root_on_a_start_node_raises_at_the_first_rule(monkeypatch, region, root
         counter.certified(region)
     assert str(paired.value) == str(lone.value)
     assert [n for _, n, _ in passes] == [WINDING_START_NODES]
-
-
-def _per_box_fresh(counter, boxes, n):
-    """One rule's sums for boxes as a per-box loop: each edge's sum, and the
-    sum over edges of side / (2 pi i m) times it in Python complex arithmetic."""
-    m = n // 4
-    t = np.linspace(0.0, 1.0, m + 1) if n == WINDING_START_NODES else np.arange(1, m, 2) / m
-    values = []
-    for box in boxes:
-        x0, x1, y0, y1 = box.corners
-        corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-        total = 0
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            z = a + (b - a) * t
-            g = counter.dnum.eval_many(z) / counter.num.eval_many(z)
-            if counter.den is not None:
-                g = g - counter.dden.eval_many(z) / counter.den.eval_many(z)
-            s = g.sum()
-            if n == WINDING_START_NODES:
-                s -= 0.5 * (g[0] + g[-1])
-            total = total + ((b - a) / (2j * np.pi * m)) * s
-        values.append(complex(total))
-    return values
-
-
-def test_box_pass_matches_the_per_box_formula():
-    rng = make_rng(59)
-    cases = []
-    for trial in range(10):
-        f = random_rational(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
-        cases.append((f, _random_regions(rng, "box", 1 + trial % 4)))
-    # real coefficients on boxes symmetric about the real axis: edge sums
-    # with imaginary parts that cancel exactly
-    real = RationalFunction(Polynomial([-2.0, 0.5, 1.0, 3.0]), Polynomial([4.0, -1.0, 1.0]))
-    cases.append((real, [Box(0j, 2.0, 2.0), Box(0.5 + 0j, 1.0, 3.0)]))
-    for f, boxes in cases:
-        counter = _ContourCounter(f.numerator, f.denominator)
-        n = WINDING_START_NODES
-        while n <= 2**12:
-            batched = [_hex(v) for v, _ in counter._fresh(boxes, (n,))[0]]
-            assert batched == [_hex(v) for v in _per_box_fresh(counter, boxes, n)], n
-            n *= 2
 
 
 # -- a split's four children share each doubling pass ----------------------------
@@ -876,6 +840,17 @@ def test_witness_roots_on_a_split_line(coeffs):
     # integer polynomials whose recentred levels have real roots, on the
     # quadtree's first split line y = 0
     p = Polynomial(coeffs)
+    trace = fta_witness(p, 1e-10)
+    assert trace.residual <= 1e-10 * p.coefficient_scale
+
+
+@pytest.mark.parametrize("big", [1e6, 1e9, 1e10])
+@pytest.mark.parametrize("head", [[1, 0], [1, 0, 0]], ids=["cubic", "quartic"])
+def test_witness_with_a_root_near_the_cauchy_bound(head, big):
+    # z^3 - big z^2 + 1 and z^4 - big z^3 + 1: a root within about 1 of
+    # the Cauchy bound 1 + big, which every split of the Cauchy box
+    # itself would share an edge with
+    p = Polynomial([*head, -big, 1])
     trace = fta_witness(p, 1e-10)
     assert trace.residual <= 1e-10 * p.coefficient_scale
 

@@ -199,13 +199,14 @@ STRADDLE_F = RationalFunction(Polynomial([-5, 3, -8, -7, 8, -6, 2, 9, -3]), Poly
 def test_a_profile_localizes_once_per_target_whatever_its_top_radius(monkeypatch):
     # the same call per target, infinity included, at every grid top
     calls = []
-    localize_roots = nevanlinna.localize_roots
+    localize_roots = localize.localize_roots
 
     def recording(p, region, tol):
         calls.append((tuple(p.coefficients), region, tol))
         return localize_roots(p, region, tol)
 
-    monkeypatch.setattr(nevanlinna, "localize_roots", recording)
+    # the name _all_roots looks up
+    monkeypatch.setattr(localize, "localize_roots", recording)
     per_top = []
     # grid tops below, at and above the Cauchy radius
     for top in (0.7038434839602782 / 1.01, 4.0, 40.0):
@@ -228,6 +229,21 @@ def test_count_reduced_counts_distinct_points():
     f = as_rf(*Polynomial.from_roots([1, 1, -2]).coefficients)
     assert count_n(f, 0, 3.0, reduced=True) == 2
     assert count_n(f, 0, 3.0, reduced=False) == 3
+
+
+@pytest.mark.parametrize("roots", [[1 / 3, 1 / 3, 2], [1, 1 + 1e-9, 3]], ids=["double", "pair"])
+def test_count_coalesces_enclosures_of_one_point(roots):
+    f = RationalFunction.from_polynomial(Polynomial.from_roots(roots))
+    assert count_n(f, 0, math.inf, reduced=True) == 2
+    assert count_n(f, 0, math.inf) == 3
+
+
+@pytest.mark.parametrize("leading", [1e-6, 1.0, 1e6])
+def test_counts_do_not_depend_on_a_constant_factor(leading):
+    # the zero 1 and the pole 1.005 do not cancel at any scale
+    f = RationalFunction(Polynomial.from_roots([1, 2], leading=leading), Polynomial.from_roots([1.005]))
+    assert count_n(f, 0, 10.0) == 2
+    assert count_n(f, "inf", 10.0) == 1
 
 
 def test_count_double_zero_at_origin():
@@ -583,6 +599,16 @@ def test_profile_T_column_copied_to_finite_targets():
     for a, b in zip(fin.rows, inf.rows):
         assert a.T == b.T
         assert abs(b.T - (b.m + b.N)) <= 1e-12
+
+
+def test_profile_m_at_infinity_is_proximity_m():
+    # bit for bit, on the README's grid and on a profile whose radius 1 is nudged
+    cases = [(README_F, log_rgrid(1.0, 1e4, 16)), (Z2_MINUS_1, [0.5, 1.0, 2.0])]
+    cases.append((random_rational(make_rng(43), 4, 2), [1.0, 3.0, 9.0, 27.0]))
+    for f, grid in cases:
+        (profile,) = build_profile(f, [INFINITY], grid)
+        for row in profile.rows:
+            assert row.m.hex() == proximity_m(f, "inf", row.r).hex(), row.r
 
 
 # -- distribution identities over a random corpus -------------------------------------------

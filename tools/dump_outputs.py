@@ -6,10 +6,13 @@ of them argparse's, for the --seed flag that no command takes),
 profiles, verifiers, counting functions, the proximity integrand's
 nudge and give-up paths, multi-radius m-series (knot ladders around
 a-points that hug grid circles, a series whose last radius fails, the
-growth workload's 32-point grid), root cancellation, winding counts on contours that
+growth workload's 32-point grid), root cancellation (also of a zero and a
+pole 5e-3 apart under three constant factors, with their counts),
+winding counts on contours that
 pass close to a root, localize_roots and fta_witness, the latter two also
 on integer polynomials of the benchmark's roots workload, fta_witness on
-two inputs whose recentred levels have roots on a split line,
+two inputs whose recentred levels have roots on a split line and on six
+with a root within about 1 of the Cauchy bound,
 build_profile and both fundamental-theorem verifiers on the first block of
 its distribution workload, the same three calls twice over on one f for
 the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
@@ -167,9 +170,10 @@ POLE_BOXES = {
 # int_real and int_multi items of the benchmark's roots stream at seed 1:
 # all of them among items 0-11, plus #39 and #81. Real roots on the split
 # line y = 0 and multiple roots reach the exact-arithmetic Newton step, in
-# localize_roots and in the witness's root search, which takes the
-# enclosure nearest minus the shift; #1 has a double root at 0 and real
-# roots on y = 0 at every level
+# localize_roots on the Cauchy box and in the witness's root search, the
+# all-roots call localize._all_roots on twice the Cauchy box, of whose
+# enclosures the witness takes the one nearest minus the shift; #1 has a
+# double root at 0 and real roots on y = 0 at every level
 ROOTS_WORKLOAD = {
     0: [-3, -6, 6, -9, 3, 4, -9, 5, -1, -2],
     1: [0, 0, -1024, 2304, -1408, -32, 188, -23, -6, 1],
@@ -187,6 +191,20 @@ ROOTS_WORKLOAD = {
 WITNESS_EDGE = {
     "edge deg7": [-72, -84, 58, 65, -20, -14, 2, 1],
     "edge deg9": [-2, 4, 1, 8, -1, -2, -8, -7, 7, 2],
+}
+# witness inputs z^3 - A z^2 + 1 and z^4 - A z^3 + 1 with a root within
+# about 1 of the Cauchy bound 1 + A, where every split of the Cauchy box
+# itself shares the edge the root sits on
+FAR_ROOT_WITNESS = {
+    f"{name} {big:g}": [*head, -big, 1]
+    for big in (1e6, 1e9, 1e10)
+    for name, head in (("cubic", [1, 0]), ("quartic", [1, 0, 0]))
+}
+# the zero 1 and the pole 1.005 under constant factors of the numerator:
+# whether they cancel does not depend on the factor
+SCALED_CANCELLING = {
+    leading: vd.RationalFunction(P.from_roots([1, 2], leading=leading), P.from_roots([1.005]))
+    for leading in (1e-6, 1.0, 1e6)
 }
 # the first block of the benchmark's distribution stream at seed 1, as
 # (numerator, denominator, targets): integer zeros and poles on the
@@ -350,6 +368,10 @@ def library():
     for name, f in CANCELLING.items():
         show(f"reduce {name}", lambda: vd.reduce_common_roots(f))
         show(f"profile {name}", lambda: vd.build_profile(f, TARGETS, GRID))
+    for leading, f in SCALED_CANCELLING.items():
+        show(f"reduce scaled {leading:g}", lambda: vd.reduce_common_roots(f))
+        for a in (0, "inf"):
+            show(f"count_n scaled {leading:g} {a} 10", lambda: vd.count_n(f, a, 10.0))
     # edge paths of the proximity integrand: the a-points +-1 sit on sample
     # angles (nudged samples), |g| overflows on the whole circle at r = 1e200
     # (the nudges give up), and a profile whose grid radius 1 is nudged
@@ -379,6 +401,8 @@ def library():
         show(f"witness workload {index}", lambda: vd.fta_witness(p, 1e-10))
     for name, coeffs in WITNESS_EDGE.items():
         show(f"witness {name}", lambda: vd.fta_witness(P(coeffs), 1e-10))
+    for name, coeffs in FAR_ROOT_WITNESS.items():
+        show(f"witness far root {name}", lambda: vd.fta_witness(P(coeffs), 1e-10))
     for index, (num, den, targets) in DISTRIBUTION_WORKLOAD.items():
         f = vd.RationalFunction(P(num), P(den))
         show(f"profile workload {index}", lambda: vd.build_profile(f, targets, GRID))
