@@ -9,11 +9,13 @@ their weighted sum to half the running value. No value snaps on its
 first rule, so the first two rules share one evaluation. The four
 children of a split share each doubling pass, one evaluation per
 polynomial for all of their new nodes; the inner edges they share are
-still evaluated once per side. A pass builds its nodes in one broadcast
-of a cached unit template that holds every rule of the call side by
-side, and bounds their moduli by its regions' geometry; |z| is computed
-only when a value may be below the roundoff bound, where a node may be
-unreliable and is re-evaluated exactly. Localization counts every
+still evaluated once per side. Disks and boxes share one rule: a pass
+puts origin + scale * the unit nodes of a cached template on each edge
+(a disk's one, a box's four), and a region's value is the sum over its
+edges of scale times the unit weights times f'/f. Node moduli are
+bounded by the regions' geometry; |z| is computed only when a value may
+be below the roundoff bound, where a node may be unreliable and is
+re-evaluated exactly. Localization counts every
 region through one box, the region itself or the box around a disk, and
 a disk's roots are the certified enclosures whose centres lie inside its
 circle: no contour runs on the circle. A box that holds p's Cauchy disk
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, TargetValue, _roots_hint, claim1_shape_check
+from .algebra import Polynomial, RationalFunction, _roots_hint, claim1_shape_check
 from .errors import (
     BinomialShape,
     ConstantPolynomial,
@@ -163,7 +165,6 @@ class RootEnclosure:
 
     region: Disk
     multiplicity: int
-    target: TargetValue = TargetValue.finite(0.0)
 
     @property
     def center(self) -> complex:
@@ -179,60 +180,58 @@ class RootEnclosure:
 _RELIABLE_FACTOR = 64.0 * _EPS
 
 
-# Nodes that each pass of the doubling adds, per node count (circle) or
-# per intervals per edge (box): the whole rule at the start, after that
-# only the odd-index nodes, which the previous rule does not contain;
-# _template caches them
-def _unit_circle(n: int) -> np.ndarray:
-    """exp(2 pi i k / n) for the k the n-node circle rule adds."""
-    k = np.arange(n) if n == WINDING_START_NODES else np.arange(1, n, 2)
-    return np.exp(2j * np.pi * k / n)
-
-
-def _unit_segment(m: int) -> np.ndarray:
-    """Abscissae j / m in [0, 1] that the m-interval edge rule adds."""
-    if 4 * m == WINDING_START_NODES:
-        return np.linspace(0.0, 1.0, m + 1)
-    return np.arange(1, m, 2) / m
+# Unit nodes and weights that the n-node rule adds: the whole rule at the
+# start, after that only the odd-index nodes, which the previous rule does
+# not contain; _template caches them. A circle: nodes exp(2 pi i k / n),
+# weights node / n. A box edge of m = n / 4 intervals: nodes j / m in
+# [0, 1], weights 1 / (2 pi i m), halved at the start rule's edge ends
+def _unit_rule(disks: bool, n: int):
+    start = n == WINDING_START_NODES
+    if disks:
+        k = np.arange(n) if start else np.arange(1, n, 2)
+        unit = np.exp(2j * np.pi * k / n)
+        return unit, unit / n
+    m = n // 4
+    unit = np.linspace(0.0, 1.0, m + 1) if start else np.arange(1, m, 2) / m
+    return unit, np.where((unit == 0.0) | (unit == 1.0), 0.5, 1.0) / (2j * math.pi * m)
 
 
 @functools.cache
 def _template(disks: bool, rules: tuple):
-    """The unit nodes of every rule in ``rules`` side by side, read-only, and each rule's slice."""
-    parts = [_unit_circle(n) if disks else _unit_segment(n // 4) for n in rules]
-    stops = np.cumsum([part.size for part in parts]).tolist()
-    unit = np.concatenate(parts)
-    unit.flags.writeable = False
-    return unit, tuple(slice(a, b) for a, b in zip([0, *stops], stops))
+    """Unit nodes and weights of every rule in ``rules`` side by side, read-only, and each rule's slice."""
+    parts = [_unit_rule(disks, n) for n in rules]
+    stops = np.cumsum([unit.size for unit, _ in parts]).tolist()
+    unit, weights = (np.concatenate(column) for column in zip(*parts))
+    unit.flags.writeable = weights.flags.writeable = False
+    return unit, weights, tuple(slice(a, b) for a, b in zip([0, *stops], stops))
 
 
 class _Nodes:
     """A pass's nodes, one broadcast of the template, a bound on their moduli, and |z| on first use.
 
-    Disks: ``z`` = centre + radius * unit, shape (k, L), and ``geometry``
-    the radii. Boxes: ``z`` = corner + side * unit on each edge, shape
-    (k, 4, L), and ``geometry`` the sides. ``z_max`` is |centre| + radius,
-    or the largest |corner|, times 1 + 1e-12 for the rounding of the nodes
-    and of their moduli, plus 1e-320 for subnormal nodes, whose rounding
-    is absolute: no node's modulus exceeds it.
+    ``z`` = origin + scale * unit on each edge, shape (k, e, L): a disk is
+    one edge, from its centre with scale its radius; a box has four, from
+    each corner with scale the side to the next. ``z_max`` is |centre| +
+    radius, or the largest |corner|, times 1 + 1e-12 for the rounding of
+    the nodes and of their moduli, plus 1e-320 for subnormal nodes, whose
+    rounding is absolute: no node's modulus exceeds it.
     """
 
     def __init__(self, regions, unit: np.ndarray):
         if isinstance(regions[0], Disk):
-            centers = np.array([r.center for r in regions])
-            self.geometry = np.array([r.radius for r in regions])
-            self.z = centers[:, None] + self.geometry[:, None] * unit
-            z_max = float((np.abs(centers) + self.geometry).max())
+            origins = np.array([[r.center] for r in regions])
+            self.scale = np.array([[r.radius] for r in regions])
+            z_max = float((np.abs(origins) + self.scale).max())
         else:
             # corners counter-clockwise from the lower left; edge j runs
             # from corner j to corner j + 1
             xy = np.array([r.corners for r in regions])
-            corners = np.empty((len(regions), 4), dtype=complex)
-            corners.real = xy[:, [0, 1, 1, 0]]
-            corners.imag = xy[:, [2, 2, 3, 3]]
-            self.geometry = corners[:, [1, 2, 3, 0]] - corners
-            self.z = corners[..., None] + self.geometry[..., None] * unit
-            z_max = float(np.abs(corners).max())
+            origins = np.empty((len(regions), 4), dtype=complex)
+            origins.real = xy[:, [0, 1, 1, 0]]
+            origins.imag = xy[:, [2, 2, 3, 3]]
+            self.scale = origins[:, [1, 2, 3, 0]] - origins
+            z_max = float(np.abs(origins).max())
+        self.z = origins[..., None] + self.scale[..., None] * unit
         self.z_max = z_max * (1.0 + 1e-12) + 1e-320
 
     @functools.cached_property
@@ -287,10 +286,8 @@ class _ContourCounter:
         per polynomial; each rule's sums are taken over its own slice, and
         each region's over its own row.
         """
-        disks = isinstance(regions[0], Disk)
-        unit, slices = _template(disks, rules)
+        unit, weights, slices = _template(isinstance(regions[0], Disk), rules)
         nodes = _Nodes(regions, unit)
-        axes = 1 if disks else (1, 2)
         out = []
         # a row that is not finite is dropped below; its sums may be nan
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -303,24 +300,16 @@ class _ContourCounter:
                 ddv, ddv_abs = _eval_repaired(self.dden, nodes)
                 g = g - ddv / dv
                 dist = np.minimum(dist, dv_abs / ddv_abs)
-            for n, s in zip(rules, slices):
+            for s in slices:
                 gi = g[..., s]
-                if disks:
-                    values = ((nodes.geometry / n)[:, None] * unit[s] * gi).sum(axis=1)
-                else:
-                    # new edge nodes are interior, weight 1/m; the start
-                    # rule's edge ends carry half of it
-                    sums = gi.sum(axis=2)
-                    if n == WINDING_START_NODES:
-                        sums -= 0.5 * (gi[..., 0] + gi[..., -1])
-                    values = (nodes.geometry * sums).sum(axis=1) / (2j * math.pi * (n // 4))
+                values = (nodes.scale * (gi * weights[s]).sum(axis=2)).sum(axis=1)
                 # nan marks nodes where the derivative vanished; fmin skips
                 # it, and a row of nan reads inf
-                d = np.fmin.reduce(dist[..., s], axis=axes, initial=math.inf)
+                d = np.fmin.reduce(dist[..., s], axis=(1, 2), initial=math.inf)
                 # a non-finite f'/f makes its row's value non-finite, so rows
                 # are tested node by node only where a value is
                 if not all(map(cmath.isfinite, values.tolist())):
-                    dropped = ~np.isfinite(gi).all(axis=axes)
+                    dropped = ~np.isfinite(gi).all(axis=(1, 2))
                     values[dropped] = 0.0
                     d[dropped] = 0.0
                 out.append(list(zip(values.tolist(), d.tolist())))
@@ -339,16 +328,17 @@ class _ContourCounter:
         raises for the whole call; within a pass, regions go in list order.
 
         A ladder cannot snap on its first rule, since a snap needs two
-        agreeing passes, so the first two rules share one evaluation
-        whenever the second pass would take the same batch.
+        agreeing passes, so the first two rules share one evaluation. The
+        callers pass one region or a split's four, whose first two rules
+        fit in LOCKSTEP_NODES together.
         """
         ladders = [_Ladder(region) for region in regions]
         active = ladders
         while active:
             batch = active if sum(ld.n for ld in active) <= LOCKSTEP_NODES else active[:1]
             n = batch[0].n
-            paired = n == WINDING_START_NODES and 2 * n * len(batch) <= LOCKSTEP_NODES
-            for passes in self._fresh([ld.region for ld in batch], (n, 2 * n) if paired else (n,)):
+            rules = (n, 2 * n) if n == WINDING_START_NODES else (n,)
+            for passes in self._fresh([ld.region for ld in batch], rules):
                 for ladder, (fresh, d_est) in zip(batch, passes):
                     ladder.advance(fresh, d_est)
             active = [ld for ld in active if ld.count is None]
@@ -366,8 +356,7 @@ class _Ladder:
         self.region = region
         self.n = WINDING_START_NODES
         self.value = 0j
-        self.prev_k = None
-        self.prev_ok = False
+        self.prev = None  # the integer the last pass snapped to
         self.min_d = math.inf
         self.count = None
 
@@ -381,11 +370,11 @@ class _Ladder:
         if d_est < delta:
             raise ContourTooClose(f"zero/pole within {d_est:.2e} of the contour (band {delta:.2e})")
         k = int(round(self.value.real))
-        ok = abs(self.value - k) < SNAP_MARGIN
-        if ok and self.prev_ok and self.prev_k == k:
+        snapped = k if abs(self.value - k) < SNAP_MARGIN else None
+        if snapped is not None and snapped == self.prev:
             self.count = k
             return
-        self.prev_k, self.prev_ok = k, ok
+        self.prev = snapped
         self.n *= 2
         if self.n > WINDING_MAX_NODES:
             if self.min_d < 1e-5 * size:
@@ -537,9 +526,10 @@ def _shrink_start(counter, box, count, hints):
     return box
 
 
-def _isolate(counter, box0, count0, tol, hints):
-    """Quadtree descent; returns (disk, multiplicity, already_certified) triples."""
-    stack = [(box0, count0)]
+def _isolate(counter, starts, tol, hints):
+    """Quadtree descent from (box, count) pairs; returns (disk, multiplicity,
+    already_certified, [(final box, count)]) items."""
+    stack = list(starts)
     finals = []
     processed = 0
     while stack:
@@ -550,11 +540,11 @@ def _isolate(counter, box0, count0, tol, hints):
         if processed > MAX_BOXES:
             raise SubdivisionDepthExceeded("subdivision budget exhausted")
         if box.diameter <= tol:
-            finals.append((Disk(box.center, 0.5 * box.diameter), count, False))
+            finals.append((Disk(box.center, 0.5 * box.diameter), count, False, [(box, count)]))
             continue
         enc = _endgame(counter, box, count, tol)
         if enc is not None:
-            finals.append((enc.region, enc.multiplicity, True))
+            finals.append((enc.region, enc.multiplicity, True, [(box, count)]))
             continue
         if box.diameter <= 256.0 * _EPS * max(1.0, abs(box.center)):
             raise SubdivisionDepthExceeded("box below float resolution before reaching tol")
@@ -598,7 +588,7 @@ def _merge_pairs(items, close, join) -> list:
 
 
 def _disks_overlap(item1, item2) -> bool:
-    (d1, _, _), (d2, _, _) = item1, item2
+    d1, d2 = item1[0], item2[0]
     pad = 1e-12 * max(1.0, abs(d1.center))
     return abs(d1.center - d2.center) <= d1.radius + d2.radius + pad
 
@@ -611,21 +601,25 @@ def _boundary_count(counter, region: Region) -> int:
         raise RootOnBoundary(f"a root lies on the region's boundary: {exc}") from None
 
 
-def _merge_certify(counter, finals):
-    """Merge overlapping disks, then certify every non-endgame disk."""
-    items = _merge_pairs(
-        finals, _disks_overlap, lambda a, b: (_cover(a[0], b[0]), a[1] + b[1], False)
-    )
-    out = []
-    for disk, mult, certified in items:
-        if not certified:
-            w = _boundary_count(counter, disk)
-            if w != mult:
-                raise LocalizationFailed(
-                    f"enclosure winding {w} != accumulated multiplicity {mult}"
-                )
-        out.append(RootEnclosure(disk, mult))
-    return out
+def _enclosures(counter, box0, count0, tol, hints):
+    """Descend, merge overlapping disks, then certify every non-endgame disk.
+
+    A join wider than tol descends again from its final boxes at half the
+    last descent's tol, and is merged again with the disks that fit.
+    """
+    items, wide, level = [], [(box0, count0)], tol
+    while wide:
+        finals = items + _isolate(counter, wide, level, hints)
+        items = _merge_pairs(
+            finals, _disks_overlap, lambda a, b: (_cover(a[0], b[0]), a[1] + b[1], False, a[3] + b[3])
+        )
+        wide = [start for disk, _, _, boxes in items if disk.radius > tol for start in boxes]
+        items = [item for item in items if item[0].radius <= tol]
+        level /= 2.0
+    for disk, mult, certified, _ in items:
+        if not certified and (w := _boundary_count(counter, disk)) != mult:
+            raise LocalizationFailed(f"enclosure winding {w} != accumulated multiplicity {mult}")
+    return [RootEnclosure(disk, mult) for disk, mult, _, _ in items]
 
 
 def _cauchy_radius(p: Polynomial) -> float:
@@ -649,18 +643,23 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
     the box around it; the multiplicities sum to that box's count, and for
     a disk the enclosures returned are those whose centres lie inside the
     circle. Root clusters tighter than tol come back as a single enclosure
-    with the summed multiplicity. A root on the box's boundary, or an
-    enclosure astride a disk's circle, raises ``RootOnBoundary``.
+    with the summed multiplicity; where the join of overlapping enclosures
+    is wider than tol, their boxes are searched again at a finer tol. A
+    root on the box's boundary, or an enclosure astride a disk's circle,
+    raises ``RootOnBoundary``.
 
-    ``tol`` is absolute. The descent raises ``SubdivisionDepthExceeded``
-    at a box whose diameter is at most 256 eps max(1, |centre|), about the
-    float spacing there, so a tol below 256 eps |root| cannot be met: at
-    a root near 1e4 that is 5.7e-10, and a tol of 1e-10 raises.
+    ``tol`` is absolute, positive and finite. The descent raises
+    ``SubdivisionDepthExceeded`` at a box whose diameter is at most 256 eps
+    max(1, |centre|), about the float spacing there, so a tol below 256 eps
+    |root| cannot be met: at a root near 1e4 that is 5.7e-10, and a tol of
+    1e-10 raises.
     """
     if p.degree == 0:
         raise ConstantPolynomial("cannot localize roots of a constant polynomial")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     counter = _ContourCounter(p)
     box0 = region if isinstance(region, Box) else Box(region.center, region.radius, region.radius)
     # every root lies in the Cauchy disk, and so inside a box that holds it
@@ -669,7 +668,7 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
         return []
     hints = _roots_hint(p)
     box0 = _shrink_start(counter, box0, total, hints)
-    encs = _merge_certify(counter, _isolate(counter, box0, total, tol, hints))
+    encs = _enclosures(counter, box0, total, tol, hints)
     if isinstance(region, Disk):
         for e in encs:
             if abs(abs(e.center - region.center) - region.radius) <= e.radius:

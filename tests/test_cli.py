@@ -118,6 +118,32 @@ def test_verify_remark_on_constant_is_usage_error(tmp_path):
     assert cp.returncode == 2
 
 
+def test_computation_failure_exits_one(tmp_path, capsys):
+    # (z - 1)^2 (z + 3): the double root 1 sits on the grid circle r = 1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([[3, 0], [-5, 0], [1, 0], [1, 0]]))
+    argv = ["verify", "fft", "--function", str(path), "--a", "0", "--rmin", "1", "--rmax", "100", "--points", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "computation failed: integrand not finite on the circle\n"
+
+
+@pytest.mark.parametrize(
+    "denominator, code, out",
+    [([[2, 0]], 0, "0.5z^2-0.5"), ([[2, 0], [1, 0]], 2, "a polynomial file must not carry a denominator")],
+    ids=["constant", "linear"],
+)
+def test_poly_file_with_a_denominator(tmp_path, capsys, denominator, code, out):
+    # a constant denominator divides the numerator through
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": denominator}))
+    assert main(["verify", "remark", "--poly", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["context"]["p"] == out
+    else:
+        assert captured.err == f"error: bad polynomial file {path}: {out}\n"
+
+
 def test_verify_fft_needs_finite_target(square_file):
     cp = run_cli("verify", "fft", "--function", str(square_file), "--a", "inf")
     assert cp.returncode == 2

@@ -191,7 +191,7 @@ def test_paired_rules_match_one_rule_evaluations(kind):
 def test_node_modulus_bound_holds_every_node(kind, rules):
     # the fast roundoff check reads this bound in place of the largest |z|
     rng = make_rng(61)
-    unit, _ = _template(kind == "disk", rules)
+    unit = _template(kind == "disk", rules)[0]
     for _ in range(60):
         k = int(rng.integers(1, 5))
         centres = 10.0 ** rng.uniform(-6, 4, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
@@ -437,6 +437,32 @@ def test_localize_rejects_constant():
         localize_roots(Polynomial([5.0]), Disk(0j, 1.0), 1e-9)
     with pytest.raises(ValueError):
         localize_roots(Polynomial([0, 1]), Disk(0j, 1.0), -1.0)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        localize_roots(Polynomial([0, 1]), Disk(0j, 1.0), math.inf)
+
+
+def test_a_join_wider_than_tol_descends_again(monkeypatch):
+    # at tol 0.1 two joins chain the cluster's three final boxes into one
+    # disk of radius 0.108; its boxes descend again at tol 0.05, which
+    # parts the roots as a search at tol 0.05 does. At tol 0.15 the triple fits
+    p = Polynomial.from_roots([0.3, 0.35, 0.4])
+    descents = _count_calls(monkeypatch, valdist.localize, "_isolate")
+    encs = localize_roots(p, Box(0j, 1.0, 1.0), 0.1)
+    assert len(descents) == 2
+    assert [e.multiplicity for e in encs] == [1, 2]
+    assert all(e.radius <= 0.1 for e in encs)
+    assert [e.region for e in encs] == [e.region for e in localize_roots(p, Box(0j, 1.0, 1.0), 0.05)]
+    (enc,) = localize_roots(p, Box(0j, 1.0, 1.0), 0.15)
+    assert enc.multiplicity == 3 and enc.radius <= 0.15
+
+
+def test_a_joined_cluster_within_tol_is_one_enclosure(monkeypatch):
+    joins = _count_calls(monkeypatch, valdist.localize, "_cover")
+    (enc,) = localize_roots(Polynomial.from_roots([0.3, 0.35]), Box(0j, 1.0, 1.0), 0.1)
+    assert len(joins) == 1
+    assert enc.multiplicity == 2
+    assert abs(enc.radius - 0.0763) <= 1e-4
+    assert enc.region.contains(0.3) and enc.region.contains(0.35)
 
 
 def _count_calls(monkeypatch, owner, name):

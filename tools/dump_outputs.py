@@ -33,8 +33,13 @@ empty memo by the first-theorem verifier on its grid, m at the nudged
 radius and T at the grid radius, localize_roots around a double root
 near 1e3 (contour nodes evaluated exactly far from the origin), the error
 of a split batch with two failing children, winding counts of
-rationals with a pole on a box corner and just inside a box edge, and
-a winding count and localize_roots on regions built from ints. A change
+rationals with a pole on a box corner and just inside a box edge,
+a winding count and localize_roots on regions built from ints,
+localize_roots on root clusters whose joined enclosure is wider or
+narrower than tol and at an infinite tol, the Jensen constant and the
+first-theorem check of a function with a tiny nonzero constant term,
+and two CLI runs: a computation failure (exit 1) and a polynomial file
+with a constant denominator. A change
 meant to keep results passes when `cmp` finds the dumps of the parent
 and the change equal.
 """
@@ -167,6 +172,11 @@ POLE_BOXES = {
     "pole on a box corner": vd.RationalFunction(P.from_roots([0.2, -0.5j]), P.from_roots([1 - 1j, 0.5])),
     "pole inside a box edge": vd.RationalFunction(P.from_roots([0.2, -0.5j]), P.from_roots([1 - 1e-3 + 0.3j, 0.5])),
 }
+# root clusters that the joins of their final enclosures cover: three
+# roots need a disk of radius 0.108, two one of radius 0.076
+CLUSTER_JOINS = [([0.3, 0.35, 0.4], 0.05), ([0.3, 0.35, 0.4], 0.1), ([0.3, 0.35, 0.4], 0.15), ([0.3, 0.35], 0.1)]
+# (z + 1e-13)(z - 2)(z - 3 - i): a constant term 1e-12 of the coefficient scale
+TINY_CONSTANT = vd.RationalFunction(P.from_roots([-1e-13, 2, 3 + 1j]))
 # int_real and int_multi items of the benchmark's roots stream at seed 1:
 # all of them among items 0-11, plus #39 and #81. Real roots on the split
 # line y = 0 and multiple roots reach the exact-arithmetic Newton step, in
@@ -315,6 +325,9 @@ INPUTS = {
     "z2.json": [[0, 0], [0, 0], [1, 0]],
     "cubic.json": [[-1, 0], [0, 0], [3, 0], [1, 0]],
     "readme.json": {"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": [[-3, 0], [1, 0]]},
+    # (z - 1)^2 (z + 3), a double root on the grid circle r = 1
+    "double.json": [[3, 0], [-5, 0], [1, 0], [1, 0]],
+    "half.json": {"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": [[2, 0]]},
 }
 CLI = [
     ["profile", "--function", "z2.json", "--a", "0,inf", "--out", "tables"],
@@ -333,6 +346,9 @@ CLI = [
     ["fta-witness", "--poly", "cubic.json", "--tol", "-1"],
     ["verify", "remark", "--poly", "z2.json", "--seed", "-1"],
     ["verify", "degree", "--poly", "z2.json", "--rmax", "10"],
+    # a computation failure is exit 1; a constant denominator divides through
+    ["verify", "fft", "--function", "double.json", "--a", "0", "--rmin", "1", "--rmax", "100", "--points", "3"],
+    ["verify", "remark", "--poly", "half.json"],
 ]
 
 
@@ -466,6 +482,11 @@ def library():
     # int centre, half-widths and radius, so int corners
     show("winding int box", lambda: vd.winding_count(P([1, 0, 1]), vd.Box(0, 2, 2)))
     show("roots int disk", lambda: vd.localize_roots(P([1, 0, 1]), vd.Disk(0, 2), 1e-10))
+    for zs, tol in CLUSTER_JOINS:
+        show(f"roots cluster {zs} tol {tol}", lambda: vd.localize_roots(P.from_roots(zs), UNIT_BOX, tol))
+    show("roots tol inf", lambda: vd.localize_roots(P.from_roots([0.3, 0.35, -0.5j]), UNIT_BOX, math.inf))
+    show("jensen_constant tiny constant", lambda: vd.jensen_constant(TINY_CONSTANT, 0))
+    show("fft tiny constant", lambda: vd.verify_first_fundamental(TINY_CONSTANT, 0, vd.log_rgrid(1.0, 1e3, 16)))
 
 
 def command_line():

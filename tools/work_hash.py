@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     fresh = localize._ContourCounter._fresh
 
     def counted(self, regions, rules):
-        unit, _ = localize._template(isinstance(regions[0], localize.Disk), rules)
+        unit = localize._template(isinstance(regions[0], localize.Disk), rules)[0]
         edges = 1 if isinstance(regions[0], localize.Disk) else 4
         work["passes"] += 1
         work["nodes"] += len(regions) * edges * unit.size
