@@ -495,7 +495,10 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
     and carries ``reduced=True``. Coincidence is decided on root clusters:
     each numerator root is greedily matched to the nearest unused
     denominator root and the pair is cancelled when their distance is
-    below GCD_TOL_REL times max(1, |numerator root|).
+    below GCD_TOL_REL times max(1, |numerator root|). A root at 0 is an
+    exact zero low coefficient: the common powers of z cancel exactly,
+    and only the other roots are matched, so a zero coefficient that
+    remains stays exactly zero.
     """
     if f.denominator.is_zero:
         raise IdenticallyZeroDenominator("denominator is identically zero")
@@ -504,8 +507,16 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
         return RationalFunction(Polynomial.zero(), Polynomial.one(), reduced=True)
     if num.degree == 0 or den.degree == 0:
         return RationalFunction(num, den, reduced=True)
-    nroots = sorted(_roots_hint(num), key=lambda z: (z.real, z.imag))
-    droots = sorted(_roots_hint(den), key=lambda z: (z.real, z.imag))
+    kn, kd = (next(i for i, c in enumerate(p.coefficients) if c != 0) for p in (num, den))
+    k = min(kn, kd)
+    low_num, low_den = num.coefficients[k:kn], den.coefficients[k:kd]
+    # hints of num and den as given, which the m(r, a) series reuse from the
+    # memo; their k hints of least modulus are a k-fold root at 0, exactly 0
+    nroots, droots = (
+        sorted(sorted(_roots_hint(p), key=abs)[kp:], key=lambda z: (z.real, z.imag))
+        for p, kp in ((num, kn), (den, kd))
+    )
+    num, den = Polynomial(num.coefficients[kn:]), Polynomial(den.coefficients[kd:])
     used = [False] * len(droots)
     cancelled = []
     for zn in nroots:
@@ -519,11 +530,11 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
         if best is not None and best_d < GCD_TOL_REL * max(1.0, abs(zn)):
             used[best] = True
             cancelled.append(0.5 * (zn + droots[best]))
-    if not cancelled:
-        return RationalFunction(num, den, reduced=True)
     for r in cancelled:
         num = _deflate(num, r)
         den = _deflate(den, r)
+    # the powers of z that did not cancel go back
+    num, den = Polynomial(low_num + num.coefficients), Polynomial(low_den + den.coefficients)
     return RationalFunction(num, den, reduced=True)
 
 

@@ -31,9 +31,9 @@ Uncertified companion-matrix root hints only order the split points and
 stop the start box; winding counts stay the certificate. Every search
 for all the roots of a polynomial, the a-point enumeration's and the
 witness pipeline's, is one ``_all_roots`` call: the descent from twice
-the Cauchy box, at the caller's tolerance. Of the recentred polynomial's
-enclosures, the witness takes the one nearest minus the shift, which
-minimizes the witness modulus.
+the Cauchy box, at the caller's constant times max(1, Fujiwara's bound).
+Of the recentred polynomial's enclosures, the witness takes the one
+nearest minus the shift, which minimizes the witness modulus.
 
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
 on a contour no split placed (the caller's box, the box around a disk, a
@@ -81,11 +81,11 @@ HINT_REL = 1e-4
 # the roots of integer inputs sit
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SPLIT_LADDER = tuple(sorted((0.4 * (k * _PHI % 1.0) - 0.2 for k in range(1, 8)), key=abs))
-# enclosure radius, relative to the Cauchy radius, of the witness's root
-# search. The enclosure only seeds Newton; the residual test stays the
-# certificate. 1e-3 loses items, because Newton from a coarse cluster
-# centre can land on a far root; 1e-8 and 1e-10 also pass, but descend
-# further
+# the witness's root search tolerance, relative to max(1, Fujiwara's
+# bound) as in ``_all_roots``; the enclosure only seeds Newton, and the
+# residual test stays the certificate. 1e-3, 1e-4 and 1e-6 each pass
+# tools/envelope.py's Wilkinson and seeded families; 1e-10 does too, but
+# descends further (56 s against 32 s at 1e-6, shared 2-core host)
 WITNESS_TOL_REL = 1e-6
 _EPS = float(np.finfo(float).eps)
 
@@ -627,6 +627,19 @@ def _cauchy_radius(p: Polynomial) -> float:
     return 1.0 + rest / abs(p.leading)
 
 
+def _fujiwara_bound(p: Polynomial) -> float:
+    """Fujiwara's bound 2 max(|c_(n-1)/c_n|, |c_(n-2)/c_n|^(1/2), ..., |c_0/(2 c_n)|^(1/n)).
+
+    No root of p is larger, and the largest is at least this over 2n, so
+    it follows the roots where the Cauchy radius can overshoot them by
+    orders of magnitude (Fujiwara, Tohoku Math. J. 10, 1916).
+    """
+    c, n = p.coefficients, p.degree
+    ratios = [abs(c[n - k]) / abs(p.leading) for k in range(1, n + 1)]
+    ratios[-1] /= 2.0
+    return 2.0 * max(q ** (1.0 / k) for k, q in enumerate(ratios, start=1))
+
+
 def _holds_cauchy_disk(box: Box, p: Polynomial) -> bool:
     """The box holds p's Cauchy disk |z| <= 1 + max |c_i| / |c_n| (i < n),
     which holds every root, with a relative margin of 1e-12 for rounding."""
@@ -681,18 +694,19 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
     return encs
 
 
-def _all_roots(p: Polynomial, tol: float):
-    """Certified enclosures of every root of p, in the box of half-width 2 R0.
+def _all_roots(p: Polynomial, rel: float):
+    """Certified enclosures of every root of p, in the box of half-width 2 R0, at tol rel max(1, F).
 
     R0 is the Cauchy radius times (1 + 1e-6). That box holds the Cauchy
     disk, so its count is deg p by theorem, and the quadtree's first
     shrink lands on the box of half-width R0 without a contour, unless a
     root hint lies near that box's edge; a root can lie within about 1 of
     the Cauchy bound, and in a start box of half-width R0 every split
-    would share the edge it sits on. Each caller picks its own ``tol``.
+    would share the edge it sits on. F, Fujiwara's bound, follows the
+    roots' scale where R0 can overshoot it by orders of magnitude.
     """
     half = 2.0 * _cauchy_radius(p) * (1.0 + 1e-6)
-    return localize_roots(p, Box(0j, half, half), tol)
+    return localize_roots(p, Box(0j, half, half), rel * max(1.0, _fujiwara_bound(p)))
 
 
 # -- the induction pipeline ----------------------------------------------------------
@@ -754,7 +768,7 @@ def _witness_recurse(p: Polynomial, levels: list) -> complex:
             dec = claim1_shape_check(q)
             kind = "claim1"
             # the root of q nearest -h minimizes the final witness modulus
-            encs = _all_roots(q, WITNESS_TOL_REL * _cauchy_radius(q))
+            encs = _all_roots(q, WITNESS_TOL_REL)
             root = min(encs, key=lambda e: abs(e.center + h)).center
         except BinomialShape as b:
             kind = "binomial"

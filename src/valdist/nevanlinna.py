@@ -1,10 +1,10 @@
 """Counting, proximity, and characteristic functions over r-grids.
 
-Two independent numerical routes back each quantity: the integrated
-counting function comes from a closed-form sum over enumerated a-points
-and, separately, from numeric integration of the defining t-integral;
-the proximity function is adaptive quadrature of log+ |g| on the circle,
-cross-checked by exact Jensen identities in the test-suite.
+The integrated counting function is a closed-form sum over the
+enumerated a-points; ``counting_N_integral``'s step integral over the
+same a-points checks the sum, not the enumeration. The proximity
+function is adaptive quadrature of log+ |g| on the circle, cross-checked
+by exact Jensen identities in the test-suite.
 
 Every n(r, a), N(r, a) and pole term of T(r) is a filter by |z| of one
 a-point set per (f, target): ``_apoints`` localizes every root of
@@ -84,32 +84,18 @@ class _APoint:
     guard: float  # classification slack inherited from the enclosure radius
 
 
-def _fujiwara_bound(g: Polynomial) -> float:
-    """Fujiwara's bound 2 max(|c_(n-1)/c_n|, |c_(n-2)/c_n|^(1/2), ..., |c_0/(2 c_n)|^(1/n)).
-
-    No root of g is larger, and the largest is at least this over 2n, so
-    it follows the roots where the Cauchy radius can overshoot them by
-    orders of magnitude (Fujiwara, Tohoku Math. J. 10, 1916).
-    """
-    c, n = g.coefficients, g.degree
-    ratios = [abs(c[n - k]) / abs(g.leading) for k in range(1, n + 1)]
-    ratios[-1] /= 2.0
-    return 2.0 * max(q ** (1.0 / k) for k, q in enumerate(ratios, start=1))
-
-
 def _apoints(f: RationalFunction, a):
     """Every certified a-point of the reduced f, coalesced into distinct points.
 
     The one enumeration: it depends on f and the target alone, and each
     consumer filters its points by |z|. Every root of g = num - a den is
-    localized by ``localize._all_roots``, at the tolerance
-    1e-10 max(1, F), F Fujiwara's bound, which follows the roots' scale
-    where the Cauchy radius may not.
+    localized by ``localize._all_roots`` at the relative tolerance 1e-10,
+    that is at 1e-10 max(1, F), F Fujiwara's bound.
     """
     g = _target_poly(f.reduce(), as_target(a))
     if g.degree == 0:
         return []
-    encs = _all_roots(g, 1e-10 * max(1.0, _fujiwara_bound(g)))
+    encs = _all_roots(g, 1e-10)
 
     # coalesce clusters that are one geometric point at desk resolution
     def close(p1, p2):
@@ -205,7 +191,7 @@ def counting_N_integral(
     cfg: QuadratureConfig | None = None,
     reduced: bool = False,
 ) -> float:
-    """Independent route: numeric integration of (n(t) - n(0))/t over (0, r]."""
+    """Check of ``counting_N``'s sum, not of its a-points: (n(t) - n(0))/t integrated over (0, r]."""
     _check_radius(r)
     pts = _apoints(f, a)
     cfg = cfg or DEFAULT_QUADRATURE

@@ -242,6 +242,22 @@ def test_reduce_respects_multiplicity():
     assert_coeffs(g.numerator, [-1, 1])
 
 
+def test_reduce_keeps_an_exact_zero_constant():
+    # -2(z + 3)(z + 4)(z - 1) over 3z(z + 2)(z + 3): the root -3 cancels,
+    # and the denominator's root at 0 keeps its constant exactly zero
+    f = RationalFunction(Polynomial([24, -10, -12, -2]), Polynomial([0, 18, 15, 3]))
+    g = reduce_common_roots(f)
+    assert g.denominator.degree == 2 and g.numerator.degree == 2
+    assert g.denominator.coefficients[0] == 0
+
+
+def test_reduce_cancels_common_powers_of_z_exactly():
+    f = RationalFunction(Polynomial.from_roots([0, 0, 2]), Polynomial.from_roots([0, 3]))
+    g = reduce_common_roots(f)
+    assert g.numerator.coefficients == (0j, -2, 1)
+    assert g.denominator.coefficients == (-3, 1)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(IdenticallyZeroDenominator):
         RationalFunction(Polynomial([1]), Polynomial([0]))

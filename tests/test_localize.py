@@ -846,12 +846,16 @@ def test_witness_binomial_shortcut():
 
 def test_witness_claim1_is_the_smallest_root():
     # z^3 + 3z^2 - 1 recentres at its critical point -2; of its three real
-    # roots, the one nearest the origin comes back
-    p = Polynomial([-1, 0, 3, 1])
-    trace = fta_witness(p)
-    assert [lv.kind for lv in trace.claim1_checks] == ["claim1"]
-    roots = np.roots([1, 3, 0, -1])
-    assert abs(trace.witness - min(roots, key=abs)) < 1e-12
+    # roots, the one nearest the origin comes back. Wilkinson's
+    # (z - 1)...(z - d) has levels whose roots all fit in a search
+    # tolerance scaled by the Cauchy radius; scaled by Fujiwara's bound,
+    # each level's search separates them, and the witness is the root 1
+    cases = [(Polynomial([-1, 0, 3, 1]), min(np.roots([1, 3, 0, -1]), key=abs))]
+    cases += [(Polynomial.from_roots(range(1, d + 1)), 1.0) for d in (12, 13, 16)]
+    for p, smallest in cases:
+        trace = fta_witness(p)
+        assert [lv.kind for lv in trace.claim1_checks] == ["claim1"] * (p.degree - 2)
+        assert abs(trace.witness - smallest) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,10 @@ pole 5e-3 apart under three constant factors, with their counts),
 winding counts on contours that
 pass close to a root, localize_roots and fta_witness, the latter two also
 on integer polynomials of the benchmark's roots workload, fta_witness on
-two inputs whose recentred levels have roots on a split line and on six
-with a root within about 1 of the Cauchy bound,
+two inputs whose recentred levels have roots on a split line, on six
+with a root within about 1 of the Cauchy bound, on Wilkinson's
+polynomials of degree 12, 13 and 16 and on three cubics with a large
+coefficient scale, root cancellation beside an exact zero constant,
 build_profile and both fundamental-theorem verifiers on the first block of
 its distribution workload, the same three calls twice over on one f for
 the targets 0.0 and -0.0 (memo hits), and verify_degree_growth on the
@@ -209,6 +211,19 @@ FAR_ROOT_WITNESS = {
     f"{name} {big:g}": [*head, -big, 1]
     for big in (1e6, 1e9, 1e10)
     for name, head in (("cubic", [1, 0]), ("quartic", [1, 0, 0]))
+}
+# witness inputs with a large coefficient scale, whose residual test is
+# relative to it: the first two return non-roots, the third raises
+LARGE_SCALE_WITNESS = {
+    "z3-1e12z2+1": [1, 0, -1e12, 1],
+    "z3+1e12z2+2": [2, 0, 1e12, 1],
+    "z3+1e9z2+2": [2, 0, 1e9, 1],
+}
+# distribution items 5 and 35 of seed 3: the root -3 or -4 cancels beside
+# an exact zero constant of the denominator
+ZERO_CONSTANT_REDUCTIONS = {
+    "seed 3 item 5": vd.RationalFunction(P([24, -10, -12, -2]), P([0, 18, 15, 3])),
+    "seed 3 item 35": vd.RationalFunction(P([144, 48, -9, -3]), P([0, -24, 2, 2])),
 }
 # the zero 1 and the pole 1.005 under constant factors of the numerator:
 # whether they cancel does not depend on the factor
@@ -419,6 +434,12 @@ def library():
         show(f"witness {name}", lambda: vd.fta_witness(P(coeffs), 1e-10))
     for name, coeffs in FAR_ROOT_WITNESS.items():
         show(f"witness far root {name}", lambda: vd.fta_witness(P(coeffs), 1e-10))
+    for d in (12, 13, 16):
+        show(f"witness wilkinson {d}", lambda: vd.fta_witness(P.from_roots(range(1, d + 1))))
+    for name, coeffs in LARGE_SCALE_WITNESS.items():
+        show(f"witness large scale {name}", lambda: vd.fta_witness(P(coeffs)))
+    for name, f in ZERO_CONSTANT_REDUCTIONS.items():
+        show(f"reduce zero constant {name}", lambda: vd.reduce_common_roots(f))
     for index, (num, den, targets) in DISTRIBUTION_WORKLOAD.items():
         f = vd.RationalFunction(P(num), P(den))
         show(f"profile workload {index}", lambda: vd.build_profile(f, targets, GRID))

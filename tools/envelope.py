@@ -1,0 +1,112 @@
+"""Usage: python tools/envelope.py <checkout>
+
+Runs seeded hard families through valdist from <checkout>/src, in one
+process, and checks every answer against the benchmark's oracle
+(perfbench/oracle.py next to this tool, 50-digit mpmath). Families:
+
+- wilkinson: (z - 1)(z - 2)...(z - d) for d = 10-16;
+- seeded: 150 polynomials, 30 per degree 8-12, each with d integer roots
+  drawn uniformly from [-12, 12] by ``random.Random(11)``;
+- found witness: z^3 - 1e12 z^2 + 1, z^3 + 1e12 z^2 + 2 and
+  z^3 + 1e9 z^2 + 2, witness inputs with a large coefficient scale.
+
+Each input gets the calls of the benchmark's ``roots`` workload, made
+separately: localize_roots on the Cauchy box at tol 1e-10, and
+fta_witness at tol 1e-10. Coefficients are exact integers, so the oracle
+has the exact roots. Prints one line per family: its inputs, the named
+errors by call and class, the wrong answers, the non-root witnesses and
+the sha256 of the outputs' reprs (an error contributes its name and
+message). A wrong answer fails one of the ``roots`` workload's checks:
+enclosures that do not hold each root once with its multiplicity, or a
+witness residual above 1e-10 x the largest coefficient. A witness is a
+non-root when its nearest oracle root is simple and more than
+1e-8 max(1, |root|) away, a test that does not scale with the
+coefficients. No timing: two checkouts that give the same answers print
+the same lines.
+"""
+
+import argparse
+import collections
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOL = 1e-10
+NON_ROOT_REL = 1e-8
+
+
+def from_roots(roots) -> list:
+    """Exact integer coefficients, ascending, of the monic polynomial with these roots."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def families():
+    """Family name -> [(integer coefficients, [(root, multiplicity)] or None)]."""
+    rng = random.Random(11)
+    seeded = []
+    for degree in range(8, 13):
+        for _ in range(30):
+            roots = [rng.randint(-12, 12) for _ in range(degree)]
+            seeded.append((from_roots(roots), sorted(collections.Counter(roots).items())))
+    return {
+        "wilkinson": [(from_roots(range(1, d + 1)), [(k, 1) for k in range(1, d + 1)]) for d in range(10, 17)],
+        "seeded": seeded,
+        "found witness": [([1, 0, -(10**12), 1], None), ([2, 0, 10**12, 1], None), ([2, 0, 10**9, 1], None)],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import mpmath
+    import oracle
+    import valdist as vd
+
+    for name, inputs in families().items():
+        digest = hashlib.sha256()
+        errors = collections.Counter()
+        wrong = non_roots = 0
+        for coeffs, pairs in inputs:
+            roots = oracle.Roots.given(pairs) if pairs else oracle.Roots.of_integer(coeffs)
+            p = vd.Polynomial(coeffs)
+            radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+            calls = {
+                "localize_roots": lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), TOL),
+                "fta_witness": lambda: vd.fta_witness(p, TOL),
+            }
+            out = {}
+            for call, run in calls.items():
+                try:
+                    out[call] = run()
+                except vd.ValdistError as exc:
+                    errors[f"{call} {type(exc).__name__}"] += 1
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+                else:
+                    digest.update(repr(out[call]).encode())
+            if "localize_roots" in out:
+                encs = [(e.center, e.radius, e.multiplicity) for e in out["localize_roots"]]
+                wrong += oracle.enclosures_hold(roots, encs) is not None
+            if "fta_witness" in out:
+                w = out["fta_witness"].witness
+                wrong += oracle.residual(coeffs, w) > TOL * max(abs(c) for c in coeffs)
+                with mpmath.workdps(oracle.DPS):
+                    z, m = min(roots.pairs, key=lambda pair: abs(pair[0] - mpmath.mpc(w.real, w.imag)))
+                    non_roots += m == 1 and abs(z - mpmath.mpc(w.real, w.imag)) > NON_ROOT_REL * max(1, abs(z))
+        named = ", ".join(f"{key} {n}" for key, n in sorted(errors.items())) or "none"
+        print(
+            f"{name}: inputs {len(inputs)}; errors {sum(errors.values())} ({named}); wrong {wrong};"
+            f" non-root witnesses {non_roots}; sha256 {digest.hexdigest()}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
