@@ -211,7 +211,7 @@ class Polynomial:
             acc += abs(c)
         return acc
 
-    def eval_exact(self, z: complex) -> complex:
+    def eval_exact(self, z: complex, derivative: bool = False) -> complex:
         """Evaluate in exact dyadic-integer arithmetic, rounding only at the end.
 
         Floats are exact rationals with power-of-two denominators, so Horner
@@ -219,7 +219,14 @@ class Polynomial:
         contour certification possible inside the roundoff halo of a
         multiple root, where plain Horner returns pure noise. With the
         coefficients c_i = C_i / 2^k and z = Z / 2^s, the j-th Horner step
-        scaled by 2^(k + j s) is A*Z + (C << j*s).
+        scaled by 2^(k + j s) is A*Z + (C << j*s). Each part of the exact
+        value is rounded once: truncated to 64 bits, then to the nearest
+        float.
+
+        With ``derivative``, the value is p'(z), taken from the same
+        integers, so the coefficients i c_i are not rounded as those of
+        :meth:`derivative` may be: the j-th step of its Horner, scaled by
+        2^(k + (j - 1) s), is D*Z + A, with A the value's step before it.
         """
         if self._exact is None:
             parts = [_dyadic(x) for c in self._coeffs for x in (c.real, c.imag)]
@@ -233,9 +240,14 @@ class Polynomial:
         zr <<= s - zrs
         zi <<= s - zis
         (ar, ai), t = coeffs[0], 0
+        dr = di = 0
         for cr, ci in coeffs[1:]:
             t += s
+            if derivative:
+                dr, di = dr * zr - di * zi + ar, dr * zi + di * zr + ai
             ar, ai = ar * zr - ai * zi + (cr << t), ar * zi + ai * zr + (ci << t)
+        if derivative:
+            return complex(_dyadic_to_float(dr, k + t - s), _dyadic_to_float(di, k + t - s))
         return complex(_dyadic_to_float(ar, k + t), _dyadic_to_float(ai, k + t))
 
     # -- calculus and recentring -------------------------------------------------

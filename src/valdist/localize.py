@@ -25,15 +25,20 @@ whose subdivision line would pass through a root is re-split at the
 next point of a fixed off-centre split ladder, so children always tile
 their parent exactly, counts stay conserved, and the same input always
 gives the same enclosures. Once a box is small, a
-Newton endgame polishes the root and certifies a tiny disk around it by
-an independent winding count.
+Newton endgame polishes the root and certifies a tiny disk around it. A
+simple root's disk needs no contour: it lies inside its box, whose count
+is 1, and the one-root bound deg p |p(z)| / |p'(z)|, from exact values
+rounded outward, is below its radius, so it holds the box's one root. A
+cluster's disk, or one the bound refuses, is certified by an independent
+winding count.
 Uncertified companion-matrix root hints only order the split points and
-stop the start box; winding counts stay the certificate. Every search
-for all the roots of a polynomial, the a-point enumeration's and the
-witness pipeline's, is one ``_all_roots`` call: the descent from twice
-the Cauchy box, at the caller's constant times max(1, Fujiwara's bound).
-Of the recentred polynomial's enclosures, the witness takes the one
-nearest minus the shift, which minimizes the witness modulus.
+stop the start box; winding counts and the one-root bound stay the
+certificates. Every search for all the roots of a polynomial, the
+a-point enumeration's and the witness pipeline's, is one ``_all_roots``
+call: the descent from twice the Cauchy box, at the caller's constant
+times max(1, Fujiwara's bound). Of the recentred polynomial's
+enclosures, the witness takes the one nearest minus the shift, which
+minimizes the witness modulus.
 
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
 on a contour no split placed (the caller's box, the box around a disk, a
@@ -88,6 +93,8 @@ SPLIT_LADDER = tuple(sorted((0.4 * (k * _PHI % 1.0) - 0.2 for k in range(1, 8)),
 # descends further (56 s against 32 s at 1e-6, shared 2-core host)
 WITNESS_TOL_REL = 1e-6
 _EPS = float(np.finfo(float).eps)
+# covers the rounding of an exact value's parts below the normal range
+_TINY = math.ldexp(1.0, -1073)
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,12 @@ Region = Disk | Box
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """Certified disk: its boundary winding count equals ``multiplicity``."""
+    """Certified disk that holds exactly ``multiplicity`` roots, counted with multiplicity.
+
+    The certificate is its winding count, or for a simple root the
+    one-root bound inside a box of count 1 (see ``_endgame``); either way
+    no root lies on its circle, so its winding count is its multiplicity.
+    """
 
     region: Disk
     multiplicity: int
@@ -432,13 +444,49 @@ def _newton_exact(p, dp, z, multiplicity):
     return z, step
 
 
+def _one_root_radius(p: Polynomial, z: complex) -> float:
+    """An upper bound on r1 = deg p |p(z)| / |p'(z)|: some root of p lies within r1 of z.
+
+    p'/p(z) = sum 1/(z - z_k) over the roots z_k with multiplicity, so
+    |p'(z) / p(z)| <= deg p / min |z - z_k| (B. T. Smith, J. ACM 17,
+    1970). p(z) and p'(z) come from one exact evaluation each, and each
+    part of a value is rounded once, with an error below 0.51 eps of
+    itself (a truncation to 64 bits, then a rounding to 53) plus 2^-1075
+    below the normal range. So a value w read as v satisfies
+    |v| - 2^-1073 < |w| (1 + eps) and |w| (1 - eps) < |v| + 2^-1073,
+    which the bound takes with 2 eps. Each modulus rounds by at most
+    eps, the two sums, the product, the quotient and the last product by
+    eps / 2 each: 6.5 eps in all, which the factor 1 + 16 eps covers.
+    inf where p'(z) may be 0 or a value is not finite.
+    """
+    v = abs(p.eval_exact(z)) + _TINY
+    dv = abs(p.eval_exact(z, derivative=True)) - _TINY
+    if not (dv > 0.0 and math.isfinite(v) and math.isfinite(dv)):
+        return math.inf
+    return p.degree * v / dv * (1.0 + 16.0 * _EPS)
+
+
+def _disk_inside(box: Box, z: complex, rho: float) -> bool:
+    """The disk |w - z| <= rho lies inside the box's contour, which runs through its float corners.
+
+    A difference of floats rounds to (a - b)(1 + d), |d| <= eps / 2, so
+    one above rho (1 + 4 eps), itself rounded, puts a - b above rho.
+    """
+    x_lo, x_hi, y_lo, y_hi = box.corners
+    room = min(z.real - x_lo, x_hi - z.real, z.imag - y_lo, y_hi - z.imag)
+    return room > rho * (1.0 + 4.0 * _EPS)
+
+
 def _endgame(counter, box, count, tol):
     """Polish the box's root cluster by Newton and certify a tiny disk.
 
     Returns None while the box is above the endgame gate (5% of its
     scale for a simple root, 0.1% for a cluster), and when its one disk,
-    of radius max(1e-13 (1 + |z|), 8 step), exceeds 0.45 tol or does
-    not certify the count.
+    of radius max(1e-13 (1 + |z|), 8 step), exceeds 0.45 tol or is not
+    certified. A simple root's disk is certified without a contour when
+    it lies inside the box and the one-root bound r1 is below its radius:
+    a root lies in the disk, and the box's count of 1 leaves room for no
+    other. Elsewhere the disk's winding count must equal the box's count.
     """
     gate = 0.05 if count == 1 else 1e-3
     if box.diameter > gate * (1.0 + abs(box.center)):
@@ -456,11 +504,14 @@ def _endgame(counter, box, count, tol):
     rho = max(rho_min, 8.0 * step)
     if rho > 0.45 * tol:
         return None
+    disk = Disk(z, rho)
+    if count == 1 and _disk_inside(box, z, rho) and _one_root_radius(p, z) < rho:
+        return RootEnclosure(disk, 1)
     try:
-        w = counter.certified(Disk(z, rho))
+        w = counter.certified(disk)
     except (ContourTooClose, QuadratureNotConverged):
         return None
-    return RootEnclosure(Disk(z, rho), count) if w == count else None
+    return RootEnclosure(disk, count) if w == count else None
 
 
 def _hint_near(hints, box, xs, ys) -> bool:
@@ -651,9 +702,9 @@ def _holds_cauchy_disk(box: Box, p: Polynomial) -> bool:
 def localize_roots(p: Polynomial, region: Region, tol: float):
     """Certified, pairwise-disjoint root enclosures of p inside the region.
 
-    Enclosure disks have radius <= tol and each disk's winding count equals
-    its multiplicity. A box region is searched as it is, a disk region in
-    the box around it; the multiplicities sum to that box's count, and for
+    Enclosure disks have radius <= tol and each holds exactly its
+    multiplicity in roots, so its winding count equals it. A box region
+    is searched as it is, a disk region in the box around it; the multiplicities sum to that box's count, and for
     a disk the enclosures returned are those whose centres lie inside the
     circle. Root clusters tighter than tol come back as a single enclosure
     with the summed multiplicity; where the join of overlapping enclosures

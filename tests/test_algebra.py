@@ -91,8 +91,9 @@ def test_eval_exact_agrees_with_horner_when_well_conditioned():
 
 
 def test_eval_exact_is_the_rounded_rational_horner():
-    # the exact Horner value as a Fraction, rounded as eval_exact rounds it;
-    # signed zeros, a subnormal and huge and tiny parts included
+    # the exact Horner values of p and p' as Fractions, rounded as
+    # eval_exact rounds them; signed zeros, a subnormal and huge and tiny
+    # parts included
     rng = make_rng(10)
     special = [0.0, -0.0, 5e-324, 1e-300, 1e300, -3.0, 0.1]
     polys = [random_polynomial(rng, d) for d in range(0, 10)]
@@ -109,10 +110,16 @@ def test_eval_exact_is_the_rounded_rational_horner():
                 continue
             zr, zi = Fraction(z.real), Fraction(z.imag)
             ar, ai = Fraction(0), Fraction(0)
-            for c in reversed(p.coefficients):
+            dr, di = Fraction(0), Fraction(0)
+            for i, c in reversed(list(enumerate(p.coefficients))):
                 ar, ai = ar * zr - ai * zi + Fraction(c.real), ar * zi + ai * zr + Fraction(c.imag)
+                if i:
+                    dr, di = dr * zr - di * zi + i * Fraction(c.real), dr * zi + di * zr + i * Fraction(c.imag)
             v = p.eval_exact(z)
             assert (v.real, v.imag) == (rounded(ar), rounded(ai)), (p, z)
+            # p'(z) from the exact coefficients i c_i, which p.derivative() may round
+            d = p.eval_exact(z, derivative=True)
+            assert (d.real, d.imag) == (rounded(dr), rounded(di)), (p, z)
 
 
 # -- derivative ---------------------------------------------------------------

@@ -31,6 +31,7 @@ from valdist.localize import (
     _endgame,
     _newton,
     _Nodes,
+    _one_root_radius,
     _split_points,
     _template,
 )
@@ -797,6 +798,109 @@ def test_endgame_declines_a_box_above_its_gate(count):
         assert (enc is not None) == certifies
         if certifies:
             assert enc.multiplicity == count and abs(enc.center - root) <= enc.radius
+
+
+def _oracle_roots(p):
+    """Every root of p's exact coefficients, from mpmath at 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in reversed(p.coefficients)]
+        return mpmath.polyroots(coeffs, maxsteps=800, extraprec=400)
+
+
+def _bound_cases():
+    """(polynomial, oracle roots, points): points at 1e-3 to 1e-14 (1 + |root|) from each root.
+
+    Simple roots of random polynomials of degree 1-7 (a linear one's
+    bound equals the distance), and clusters: pairs and triples 1e-5 to
+    1e-9 apart, and the rounded multiple roots of factored polynomials.
+    """
+    rng = make_rng(59)
+    polys = [random_polynomial(rng, d) for d in range(1, 8)]
+    for spread in (1e-5, 1e-7, 1e-9):
+        c = complex(*rng.uniform(-1.0, 1.0, 2))
+        polys.append(Polynomial.from_roots([c, c + spread, 0.7j]))
+        polys.append(Polynomial.from_roots([c, c + spread * 1j, c - spread, -1.5]))
+    polys += [random_factored(rng, 5)[0] for _ in range(3)]
+    for p in polys:
+        roots = _oracle_roots(p)
+        points = []
+        for z in map(complex, roots):
+            for k in range(3, 15):
+                offset = 10.0**-k * (1.0 + abs(z)) * np.exp(2j * np.pi * rng.uniform())
+                points.append(z + complex(offset))
+        yield p, roots, points
+
+
+def test_one_root_radius_is_never_below_the_nearest_root_distance():
+    import mpmath
+
+    for p, roots, points in _bound_cases():
+        with mpmath.workdps(60):
+            for z in points:
+                dist = min(abs(mpmath.mpc(z.real, z.imag) - w) for w in roots)
+                assert mpmath.mpf(_one_root_radius(p, z)) >= dist, (p, z)
+
+
+@pytest.mark.parametrize(
+    "coeffs, z",
+    [([-1, 0, 1], 0j), ([5, -3, 0, 1], 1 + 0j), ([0.25, -1, 1], 0.5 + 0j), ([1, 0, 0, 0, 1], 0j)],
+    ids=["z^2-1 at 0", "z^3-3z+5 at 1", "double root", "z^4+1 at 0"],
+)
+def test_one_root_radius_is_infinite_where_the_derivative_vanishes(coeffs, z):
+    p = Polynomial(coeffs)
+    assert p.eval_exact(z, derivative=True) == 0
+    assert _one_root_radius(p, z) == math.inf
+
+
+def _endgame_contours(monkeypatch):
+    """Record each disk the contour counter certifies."""
+    disks, certified = [], _ContourCounter.certified
+
+    def recording(self, region):
+        if isinstance(region, Disk):
+            disks.append(region)
+        return certified(self, region)
+
+    monkeypatch.setattr(_ContourCounter, "certified", recording)
+    return disks
+
+
+def test_an_endgame_disk_across_its_box_edge_certifies_by_contour(monkeypatch):
+    # the dyadic simple root of test_endgame_declines_a_box_above_its_gate;
+    # both boxes share their centre, so Newton starts from the same point
+    # and both give the same disk, but in the narrow box the disk reaches
+    # past the right edge, which runs 5e-14 beyond the root
+    root = 0.5 + 2.0**-12 * 1j
+    counter = _ContourCounter(Polynomial.from_roots([root, -0.5j]))
+    centre = root - 1e-6 + 5e-14
+    wide, narrow = Box(centre, 2e-6, 1e-6), Box(centre, 1e-6, 1e-6)
+    assert narrow.corners[1] - root.real < 1e-13
+    contours = _endgame_contours(monkeypatch)
+    by_bound = _endgame(counter, wide, 1, tol=1e-10)
+    assert contours == []
+    by_contour = _endgame(counter, narrow, 1, tol=1e-10)
+    assert contours == [by_contour.region] == [by_bound.region]
+    assert by_contour.multiplicity == 1 and by_contour.region.contains(root)
+    assert narrow.corners[1] - by_contour.center.real < by_contour.radius
+
+
+def test_a_simple_root_beside_a_neighbour_just_outside_its_disk(monkeypatch):
+    # roots 2^-20 and 2^-20 + 2^-42, about 2.3 rho apart, and 1; the
+    # coefficients are exact. The box holds the first root, its disk
+    # clears the right edge, and the second lies past that edge
+    a, b = 2.0**-20, 2.0**-20 + 2.0**-42
+    p = Polynomial.from_roots([a, b, 1.0])
+    assert [p.eval_exact(w) for w in (a, b, 1.0)] == [0, 0, 0]
+    box = Box.from_corners(a - 1e-9, a + 1.5e-13, -5e-10, 5e-10)
+    assert not box.contains(b)
+    contours = _endgame_contours(monkeypatch)
+    enc = _endgame(_ContourCounter(p), box, 1, tol=1e-10)
+    assert contours == []
+    assert enc.multiplicity == 1
+    assert enc.region.contains(a) and not enc.region.contains(b)
+    assert enc.radius < b - a < 3.0 * enc.radius
 
 
 # -- witness pipeline -------------------------------------------------------------

@@ -8,12 +8,20 @@ process, and checks every answer against the benchmark's oracle
 - seeded: 150 polynomials, 30 per degree 8-12, each with d integer roots
   drawn uniformly from [-12, 12] by ``random.Random(11)``;
 - found witness: z^3 - 1e12 z^2 + 1, z^3 + 1e12 z^2 + 2 and
-  z^3 + 1e9 z^2 + 2, witness inputs with a large coefficient scale.
+  z^3 + 1e9 z^2 + 2, witness inputs with a large coefficient scale;
+- clusters: for each spacing 2^-e, e = 20-33, a pair and a triple of
+  dyadic roots 2^-e apart beside Gaussian-integer roots, and roots of
+  multiplicity 2-6 beside a simple one. The roots are dyadic with few
+  bits, and a Gaussian-integer root that would make a coefficient
+  inexact is left out, so the float coefficients are the exact ones and
+  the given roots are exactly theirs. These are the inputs where a
+  simple root's one-root bound must refuse and the contour decide.
 
 Each input gets the calls of the benchmark's ``roots`` workload, made
 separately: localize_roots on the Cauchy box at tol 1e-10, and
 fta_witness at tol 1e-10. Coefficients are exact integers, so the oracle
-has the exact roots. Prints one line per family: its inputs, the named
+has the exact roots (the clusters' coefficients are exact dyadic
+rationals, and their roots are given). Prints one line per family: its inputs, the named
 errors by call and class, the wrong answers, the non-root witnesses and
 the sha256 of the outputs' reprs (an error contributes its name and
 message). A wrong answer fails one of the ``roots`` workload's checks:
@@ -30,6 +38,7 @@ import collections
 import hashlib
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,15 +47,57 @@ NON_ROOT_REL = 1e-8
 
 
 def from_roots(roots) -> list:
-    """Exact integer coefficients, ascending, of the monic polynomial with these roots."""
+    """Exact coefficients, ascending, of the monic polynomial with these integer or Gaussian-rational roots."""
     coeffs = [1]
     for r in roots:
         coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
     return coeffs
 
 
+def exact_from_roots(pairs):
+    """Float coefficients of the monic polynomial with these dyadic roots, or None if one is inexact."""
+    import oracle
+
+    exact = from_roots([oracle.GaussFraction(Fraction(r.real), Fraction(r.imag)) for r, m in pairs for _ in range(m)])
+    coeffs = [complex(float(c.re), float(c.im)) for c in exact]
+    same = all(Fraction(f.real) == c.re and Fraction(f.imag) == c.im for f, c in zip(coeffs, exact))
+    return coeffs if same else None
+
+
+def clusters(rng):
+    """[(float coefficients, [(root, multiplicity)])]: dyadic pairs and triples, and multiple roots.
+
+    A cluster's centre is a Gaussian integer over 2^k with k = 10 for a
+    pair and max(3, e - 19) for a triple, so the cluster's own
+    coefficients stay within 53 bits; Gaussian-integer roots beside it
+    are dropped, last first, until every coefficient is exact.
+    """
+    out = []
+
+    def add(pairs, rest):
+        for k in range(len(rest), -1, -1):
+            if (coeffs := exact_from_roots(pairs + rest[:k])) is not None:
+                out.append((coeffs, pairs + rest[:k]))
+                return
+        raise ValueError(f"inexact coefficients for the roots {pairs}")
+
+    def gauss(lo, hi):
+        return complex(rng.randint(lo, hi), rng.choice([-1, 1]) * rng.randint(1, hi))
+
+    for e in range(20, 34):
+        step = 2.0**-e * rng.choice([1, 1j, -1, -1j])
+        c = gauss(-7, 7) * 2.0**-10
+        add([(c, 1), (c + step, 1)], [(gauss(-3, 3), 1), (gauss(-3, 3), 1)])
+        c = gauss(-7, 7) * 2.0 ** -max(3, e - 19)
+        add([(c, 1), (c + step, 1), (c + step * 1j, 1)], [(gauss(-3, 3), 1)])
+    for m in range(2, 7):
+        for r in (1.0, -0.5 + 0.5j, 1.5j):
+            add([(r, m)], [(-1.0 + 0.25j, 1)])
+    return out
+
+
 def families():
-    """Family name -> [(integer coefficients, [(root, multiplicity)] or None)]."""
+    """Family name -> [(coefficients, [(root, multiplicity)] or None)]."""
     rng = random.Random(11)
     seeded = []
     for degree in range(8, 13):
@@ -57,6 +108,7 @@ def families():
         "wilkinson": [(from_roots(range(1, d + 1)), [(k, 1) for k in range(1, d + 1)]) for d in range(10, 17)],
         "seeded": seeded,
         "found witness": [([1, 0, -(10**12), 1], None), ([2, 0, 10**12, 1], None), ([2, 0, 10**9, 1], None)],
+        "clusters": clusters(random.Random(13)),
     }
 
 

@@ -6,14 +6,15 @@ process, on valdist from <checkout>/src: build_profile, then
 verify_first_fundamental and verify_second_fundamental on a grid of
 ``--points`` radii, as perfbench/run.py does. Prints the sha256 of the
 results' reprs (an item that raises contributes its error's name and
-message), the failed items, the contour passes and nodes of the run, and
-its quadrature calls and rows. A pass is one call of
+message), the failed items, the contour passes and nodes of the run, its
+quadrature calls and rows, and its exact evaluations. A pass is one call of
 ``localize._ContourCounter._fresh``; its nodes are the contour points it
 evaluates, counted once however many polynomials are evaluated at them.
 A quadrature call is one call of ``nevanlinna.integrate_rows``; its rows
-are the radii it integrates. The counts come from wrapping those two
-functions from outside, so the program is run unchanged. Two checkouts
-that do the same work print the same four lines.
+are the radii it integrates. An exact evaluation is one call of
+``algebra.Polynomial.eval_exact``. The counts come from wrapping those
+three functions from outside, so the program is run unchanged. Two
+checkouts that do the same work print the same five lines.
 """
 
 import argparse
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
     import valdist as vd
     from valdist import localize, nevanlinna
 
-    work = {"passes": 0, "nodes": 0, "calls": 0, "rows": 0}
+    work = {"passes": 0, "nodes": 0, "calls": 0, "rows": 0, "exact": 0}
     fresh = localize._ContourCounter._fresh
 
     def counted(self, regions, rules):
@@ -57,6 +58,13 @@ def main(argv=None) -> int:
         return integrate(fn, a, b, abs_tol=abs_tol, knots=knots)
 
     nevanlinna.integrate_rows = counted_rows
+    eval_exact = vd.Polynomial.eval_exact
+
+    def counted_exact(self, *args, **kwargs):
+        work["exact"] += 1
+        return eval_exact(self, *args, **kwargs)
+
+    vd.Polynomial.eval_exact = counted_exact
 
     digest = hashlib.sha256()
     failed = []
@@ -81,6 +89,7 @@ def main(argv=None) -> int:
         print(f"  {line}")
     print(f"passes {work['passes']} nodes {work['nodes']}")
     print(f"quadrature calls {work['calls']} rows {work['rows']}")
+    print(f"exact calls {work['exact']}")
     return 0
 
 
