@@ -500,6 +500,15 @@ def _deflate(p: Polynomial, root: complex) -> Polynomial:
     return Polynomial(out[::-1])
 
 
+def _zero_order(p: Polynomial) -> int:
+    """k, the number of exactly zero low coefficients of a nonzero p: p = z^k q with q(0) != 0.
+
+    So k is the multiplicity of p's root at 0, exactly. -0.0 is a zero; a
+    tiny or subnormal coefficient is not.
+    """
+    return next((i for i, c in enumerate(p.coefficients) if c != 0), 0)
+
+
 def reduce_common_roots(f: RationalFunction) -> RationalFunction:
     """Cancel numerator/denominator roots that coincide within tolerance.
 
@@ -519,7 +528,7 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
         return RationalFunction(Polynomial.zero(), Polynomial.one(), reduced=True)
     if num.degree == 0 or den.degree == 0:
         return RationalFunction(num, den, reduced=True)
-    kn, kd = (next(i for i, c in enumerate(p.coefficients) if c != 0) for p in (num, den))
+    kn, kd = _zero_order(num), _zero_order(den)
     k = min(kn, kd)
     low_num, low_den = num.coefficients[k:kn], den.coefficients[k:kd]
     # hints of num and den as given, which the m(r, a) series reuse from the

@@ -35,10 +35,13 @@ Uncertified companion-matrix root hints only order the split points and
 stop the start box; winding counts and the one-root bound stay the
 certificates. Every search for all the roots of a polynomial, the
 a-point enumeration's and the witness pipeline's, is one ``_all_roots``
-call: the descent from twice the Cauchy box, at the caller's constant
-times max(1, Fujiwara's bound). Of the recentred polynomial's
-enclosures, the witness takes the one nearest minus the shift, which
-minimizes the witness modulus.
+call, at the caller's constant times max(1, Fujiwara's bound). Its k
+exactly zero low coefficients put a root of multiplicity k at the
+origin, a theorem and not a count, so that root's enclosure runs no
+contour; the descent runs on the rest of the polynomial alone, from
+twice its Cauchy box. Of the recentred polynomial's enclosures, the
+witness takes the one nearest minus the shift, which minimizes the
+witness modulus.
 
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
 on a contour no split placed (the caller's box, the box around a disk, a
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, _roots_hint, claim1_shape_check
+from .algebra import Polynomial, RationalFunction, _roots_hint, _zero_order, claim1_shape_check
 from .errors import (
     BinomialShape,
     ConstantPolynomial,
@@ -95,6 +98,9 @@ WITNESS_TOL_REL = 1e-6
 _EPS = float(np.finfo(float).eps)
 # covers the rounding of an exact value's parts below the normal range
 _TINY = math.ldexp(1.0, -1073)
+# radius of the enclosure of an exact root at the origin: the endgame's
+# disk floor 1e-13 (1 + |z|) at z = 0
+ORIGIN_RADIUS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -745,19 +751,51 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
     return encs
 
 
-def _all_roots(p: Polynomial, rel: float):
-    """Certified enclosures of every root of p, in the box of half-width 2 R0, at tol rel max(1, F).
-
-    R0 is the Cauchy radius times (1 + 1e-6). That box holds the Cauchy
-    disk, so its count is deg p by theorem, and the quadtree's first
-    shrink lands on the box of half-width R0 without a contour, unless a
-    root hint lies near that box's edge; a root can lie within about 1 of
-    the Cauchy bound, and in a start box of half-width R0 every split
-    would share the edge it sits on. F, Fujiwara's bound, follows the
-    roots' scale where R0 can overshoot it by orders of magnitude.
-    """
+def _cauchy_box_roots(p: Polynomial, tol: float):
+    """Certified enclosures of every root of p, from the box of half-width twice its Cauchy radius."""
     half = 2.0 * _cauchy_radius(p) * (1.0 + 1e-6)
-    return localize_roots(p, Box(0j, half, half), rel * max(1.0, _fujiwara_bound(p)))
+    return localize_roots(p, Box(0j, half, half), tol)
+
+
+def _all_roots(p: Polynomial, rel: float):
+    """Certified enclosures of every root of p, at tol rel max(1, F), F Fujiwara's bound of p.
+
+    p = z^k q with q(0) != 0, k the number of exactly zero low
+    coefficients, so the origin is a root of multiplicity exactly k: its
+    enclosure is ``Disk(0j, ORIGIN_RADIUS)``, with no contour, and a
+    polynomial c z^k runs no descent at all. q's coefficients are p's,
+    shifted down without rounding, and the descent runs on q alone, from
+    the box of half-width 2 R0, R0 the Cauchy radius of q times
+    (1 + 1e-6). That box holds the Cauchy disk, so its count is deg q by
+    theorem, and the quadtree's first shrink lands on the box of
+    half-width R0 without a contour, unless a root hint lies near that
+    box's edge; a root can lie within about 1 of the Cauchy bound, and in
+    a start box of half-width R0 every split would share the edge it sits
+    on. F follows the roots' scale where R0 can overshoot it by orders of
+    magnitude.
+
+    An enclosure of q that holds 0 takes the origin's k roots too: its
+    count for p is k plus its count for q. The other enclosures of q hold
+    no root of z^k. Should one of them reach into the origin's disk
+    without holding 0, the descent runs on p itself instead.
+    """
+    tol = rel * max(1.0, _fujiwara_bound(p))
+    k = _zero_order(p)
+    if k == 0:
+        return _cauchy_box_roots(p, tol)
+    if k == p.degree:
+        return [RootEnclosure(Disk(0j, ORIGIN_RADIUS), k)]
+    encs = _cauchy_box_roots(Polynomial(p.coefficients[k:]), tol)
+    # |c| rounds by at most eps of itself, each sum and product by eps / 2
+    for i, e in enumerate(encs):
+        if abs(e.center) * (1.0 + 4.0 * _EPS) < e.radius:
+            encs[i] = RootEnclosure(e.region, e.multiplicity + k)
+            return encs
+    if any(abs(e.center) <= (e.radius + ORIGIN_RADIUS) * (1.0 + 4.0 * _EPS) for e in encs):
+        return _cauchy_box_roots(p, tol)
+    encs.append(RootEnclosure(Disk(0j, ORIGIN_RADIUS), k))
+    encs.sort(key=lambda e: (e.center.real, e.center.imag))
+    return encs
 
 
 # -- the induction pipeline ----------------------------------------------------------

@@ -8,8 +8,11 @@ by exact Jensen identities in the test-suite.
 
 Every n(r, a), N(r, a) and pole term of T(r) is a filter by |z| of one
 a-point set per (f, target): ``_apoints`` localizes every root of
-g = num - a den once, in a box around g's Cauchy disk, so the set is a
-function of g's coefficients alone and no radius shapes the search.
+g = num - a den once, so the set is a function of g's coefficients alone
+and no radius shapes the search. The a-points at the origin are read
+from g's exactly zero low coefficients, with no search, and enter N only
+by their count n(0, a); the other roots are localized in a box around
+the Cauchy disk of g with z^n(0, a) divided out.
 
 Each m(r, a), and with it T(r), is computed once per (g, radius,
 tolerance): a bounded memo in the algebra layer (256 entries, oldest out
@@ -90,7 +93,9 @@ def _apoints(f: RationalFunction, a):
     The one enumeration: it depends on f and the target alone, and each
     consumer filters its points by |z|. Every root of g = num - a den is
     localized by ``localize._all_roots`` at the relative tolerance 1e-10,
-    that is at 1e-10 max(1, F), F Fujiwara's bound.
+    that is at 1e-10 max(1, F), F Fujiwara's bound. Its k exactly zero
+    low coefficients give the point z = 0 of multiplicity k without a
+    search, and the descent runs on g / z^k alone.
     """
     g = _target_poly(f.reduce(), as_target(a))
     if g.degree == 0:

@@ -20,6 +20,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     TargetValue,
+    _zero_order,
     as_target,
     claim1_shape_check,
 )
@@ -108,23 +109,19 @@ def _tail_drift(series) -> float:
     return max(abs(v - last) for v in tail)
 
 
-def _lowest_nonzero(p: Polynomial):
-    scale = p.coefficient_scale
-    for i, c in enumerate(p.coefficients):
-        if abs(c) > 1e-12 * scale:
-            return i, c
-    raise ValueError("zero polynomial has no leading coefficient")
-
-
 def jensen_constant(f: RationalFunction, a) -> float:
-    """log|c| for the leading Laurent coefficient c of f - a at the origin."""
+    """log|c| for the leading Laurent coefficient c of f - a at the origin.
+
+    c is the ratio of the lowest exactly nonzero coefficients of f - a's
+    numerator and denominator, however small: the rule that counts the
+    a-points at 0.
+    """
     a = as_target(a)
     if a.is_infinite:
         raise ValueError("the Jensen constant is defined for finite targets")
     f = f.reduce()
-    _, cn = _lowest_nonzero(_target_poly(f, a))
-    _, cd = _lowest_nonzero(f.denominator)
-    return math.log(abs(cn / cd))
+    g, den = _target_poly(f, a), f.denominator
+    return math.log(abs(g.coefficients[_zero_order(g)] / den.coefficients[_zero_order(den)]))
 
 
 def verify_first_fundamental(

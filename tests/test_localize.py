@@ -22,13 +22,16 @@ from valdist import (
 
 from valdist.localize import (
     LOCKSTEP_NODES,
+    ORIGIN_RADIUS,
     SPLIT_LADDER,
     WINDING_MAX_NODES,
     WINDING_START_NODES,
     _RELIABLE_FACTOR,
     _cauchy_radius,
+    _all_roots,
     _ContourCounter,
     _endgame,
+    _fujiwara_bound,
     _newton,
     _Nodes,
     _one_root_radius,
@@ -901,6 +904,86 @@ def test_a_simple_root_beside_a_neighbour_just_outside_its_disk(monkeypatch):
     assert enc.multiplicity == 1
     assert enc.region.contains(a) and not enc.region.contains(b)
     assert enc.radius < b - a < 3.0 * enc.radius
+
+
+# -- exact roots at the origin ----------------------------------------------------
+
+
+def _disjoint(encs) -> bool:
+    return all(
+        abs(a.center - b.center) > a.radius + b.radius for i, a in enumerate(encs) for b in encs[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [1.0, -3.0, 2.5 - 1e-3j, 1e-200j])
+def test_c_z_k_is_the_origin_without_a_contour(monkeypatch, k, c):
+    passes = _count_calls(monkeypatch, _ContourCounter, "_fresh")
+    assert _all_roots(Polynomial([0.0] * k + [c]), 1e-10) == [valdist.localize.RootEnclosure(Disk(0j, ORIGIN_RADIUS), k)]
+    assert passes == []
+
+
+# q(0) != 0; an integer one, a complex one, and one with a double root
+Z_K_FACTORS = [
+    Polynomial.from_roots([-3, 1, 2, 5]),
+    Polynomial.from_roots([0.5 - 1.25j, -2 + 1j, 3j]),
+    Polynomial([7 + 2j, -1j, 0.5, 2 - 1j, 1]),
+    Polynomial.from_roots([1.5, 1.5, -0.75j]),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("q", Z_K_FACTORS, ids=["integer", "complex", "dense", "double"])
+def test_z_k_times_q_is_the_origin_and_q_s_roots(k, q):
+    import mpmath
+
+    p = Polynomial([0.0] * k + list(q.coefficients))
+    tol = 1e-10 * max(1.0, _fujiwara_bound(p))
+    encs = _all_roots(p, 1e-10)
+    (origin,) = [e for e in encs if e.center == 0]
+    assert origin.region == Disk(0j, ORIGIN_RADIUS) and origin.multiplicity == k
+    assert sum(e.multiplicity for e in encs) == p.degree and _disjoint(encs)
+    rest = [e for e in encs if e is not origin]
+    with mpmath.workdps(60):
+        for w in _oracle_roots(q):
+            near = [e for e in rest if abs(mpmath.mpc(e.center.real, e.center.imag) - w) <= tol]
+            assert len(near) == 1, (q, w)
+            assert near[0].radius <= tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("root", [1e-14, -5e-14j, 1.5e-13, 2e-13j, 3e-13, 1e-11 - 1e-11j])
+def test_a_root_of_q_beside_the_origin(monkeypatch, k, root):
+    # q's enclosure holds 0 for the roots below 1e-13 and takes the
+    # origin's k roots; one astride the origin's disk sends the search to p
+    # itself; past that, the origin and q's root keep their own disks
+    q = Polynomial.from_roots([root, 1.0, -2 + 1j])
+    p = Polynomial([0.0] * k + list(q.coefficients))
+    searched = _count_calls(monkeypatch, valdist.localize, "localize_roots")
+    encs = _all_roots(p, 1e-10)
+    assert sum(e.multiplicity for e in encs) == p.degree and _disjoint(encs)
+    near = [e for e in encs if abs(e.center) <= 1e-10]
+    if abs(root) <= 2e-13:
+        assert len(near) == 1 and near[0].multiplicity == k + 1 and near[0].region.contains(root)
+        assert [call[0] for call in searched] == ([q] if abs(root) < 1e-13 else [q, p])
+    else:
+        (origin,) = [e for e in near if e.center == 0]
+        assert origin == valdist.localize.RootEnclosure(Disk(0j, ORIGIN_RADIUS), k)
+        (other,) = [e for e in near if e.region.contains(root)]
+        assert other.multiplicity == 1 and len(near) == 2
+
+
+@pytest.mark.parametrize(
+    "constant, zero",
+    [(1e-300, False), (5e-324, False), (complex(0.0, 2.0**-1060), False), (-0.0, True), (complex(0.0, -0.0), True)],
+    ids=["1e-300", "subnormal", "subnormal imaginary", "-0.0", "complex -0.0"],
+)
+def test_only_an_exactly_zero_constant_is_a_root_at_the_origin(monkeypatch, constant, zero):
+    p = Polynomial([constant, 2.0, 1.0])
+    searched = _count_calls(monkeypatch, valdist.localize, "localize_roots")
+    encs = _all_roots(p, 1e-10)
+    assert sum(e.multiplicity for e in encs) == 2
+    assert [call[0] for call in searched] == [Polynomial([2.0, 1.0]) if zero else p]
 
 
 # -- witness pipeline -------------------------------------------------------------

@@ -88,6 +88,29 @@ def test_jensen_constant_laurent_form():
     assert abs(jensen_constant(g, 1.0) - math.log(5 / 2)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "num, den, value",
+    [
+        # distribution seed 3 items 5 and 35: the reduction cancels a common
+        # root beside the denominator's zero at the origin
+        ((24, -10, -12, -2), (0, 18, 15, 3), math.log(4 / 3)),
+        ((144, 48, -9, -3), (0, -24, 2, 2), math.log(6)),
+    ],
+)
+def test_jensen_constant_beside_a_cancelled_root(num, den, value):
+    f = RationalFunction(Polynomial(num), Polynomial(den))
+    for a in (0.0, -2j, -1 - 2j):
+        assert abs(jensen_constant(f, a) - value) <= 1e-12
+
+
+def test_jensen_constant_reads_a_tiny_constant():
+    # any exactly nonzero coefficient is the lowest one, however small
+    f = as_rf(*Polynomial.from_roots([-1e-13, 2, 3 + 1j]).coefficients)
+    c0 = f.numerator.coefficients[0]
+    assert abs(jensen_constant(f, 0.0) - math.log(abs(c0))) <= 1e-12
+    assert abs(jensen_constant(as_rf(1e-300, 1), 0.0) - math.log(1e-300)) <= 1e-12
+
+
 def test_jensen_constant_of_function_identically_a():
     with pytest.raises(FunctionIdenticallyA):
         jensen_constant(as_rf(2), 2.0)

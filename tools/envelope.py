@@ -15,22 +15,34 @@ process, and checks every answer against the benchmark's oracle
   bits, and a Gaussian-integer root that would make a coefficient
   inexact is left out, so the float coefficients are the exact ones and
   the given roots are exactly theirs. These are the inputs where a
-  simple root's one-root bound must refuse and the contour decide.
+  simple root's one-root bound must refuse and the contour decide;
+- tiny a-points: z^k times 2-4 distinct nonzero integer roots from
+  [-12, 12], two root sets per k = 1-4 drawn by ``random.Random(17)``,
+  and the same polynomials with z^k moved to (z - t)^k for
+  t = -1e-9, 1e-10, ..., 1e-16 (the sign alternates), their
+  coefficients rounded to floats.
 
-Each input gets the calls of the benchmark's ``roots`` workload, made
-separately: localize_roots on the Cauchy box at tol 1e-10, and
-fta_witness at tol 1e-10. Coefficients are exact integers, so the oracle
-has the exact roots (the clusters' coefficients are exact dyadic
-rationals, and their roots are given). Prints one line per family: its inputs, the named
-errors by call and class, the wrong answers, the non-root witnesses and
-the sha256 of the outputs' reprs (an error contributes its name and
-message). A wrong answer fails one of the ``roots`` workload's checks:
-enclosures that do not hold each root once with its multiplicity, or a
-witness residual above 1e-10 x the largest coefficient. A witness is a
-non-root when its nearest oracle root is simple and more than
-1e-8 max(1, |root|) away, a test that does not scale with the
-coefficients. No timing: two checkouts that give the same answers print
-the same lines.
+Each input of the first four families gets the calls of the benchmark's
+``roots`` workload, made separately: localize_roots on the Cauchy box at
+tol 1e-10, and fta_witness at tol 1e-10. Coefficients are exact
+integers, so the oracle has the exact roots (the clusters' coefficients
+are exact dyadic rationals, and their roots are given). Prints one line
+per family: its inputs, the named errors by call and class, the wrong
+answers, the non-root witnesses and the sha256 of the outputs' reprs (an
+error contributes its name and message). A wrong answer fails one of the
+``roots`` workload's checks: enclosures that do not hold each root once
+with its multiplicity, or a witness residual above 1e-10 x the largest
+coefficient. A witness is a non-root when its nearest oracle root is
+simple and more than 1e-8 max(1, |root|) away, a test that does not
+scale with the coefficients.
+
+Each tiny a-points input gets counting_N of its zeros at r = 1, 10 and
+1e3, checked as the ``distribution`` workload checks N: a wrong answer
+is one more than 1e-7 max(1, |N|) from the oracle's N, which takes the
+float coefficients as the exact values they hold. Its line splits the
+wrong answers between the inputs with an exact root at 0 and those with
+the root moved off it. No timing: two checkouts that give the same
+answers print the same lines.
 """
 
 import argparse
@@ -44,6 +56,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-10
 NON_ROOT_REL = 1e-8
+# counting_N's radii and allowance, that of perfbench/run.py's N check
+TINY_RADII = (1.0, 10.0, 1e3)
+N_TOL = 1e-7
 
 
 def from_roots(roots) -> list:
@@ -96,6 +111,54 @@ def clusters(rng):
     return out
 
 
+def tiny_apoints(rng):
+    """[(float coefficients, origin root t)]: z^k times integer roots (t = 0), then (z - t)^k times the same."""
+    out = []
+    for k in range(1, 5):
+        for _ in range(2):
+            roots = rng.sample([r for r in range(-12, 13) if r], rng.randint(2, 4))
+            for t in [0, *(Fraction((-1) ** e, 10**e) for e in range(9, 17))]:
+                out.append(([float(c) for c in from_roots([t] * k + roots)], t))
+    return out
+
+
+def call(run, name, errors, digest):
+    """run(), its repr hashed; None, with its error hashed and counted under ``name``, if it raises."""
+    import valdist as vd
+
+    try:
+        out = run()
+    except vd.ValdistError as exc:
+        errors[f"{name} {type(exc).__name__}"] += 1
+        digest.update(f"{type(exc).__name__}: {exc}".encode())
+        return None
+    digest.update(repr(out).encode())
+    return out
+
+
+def tiny_apoints_line(inputs) -> str:
+    """The tiny a-points family's line: counting_N of each input's zeros against the oracle's N."""
+    import oracle
+    import valdist as vd
+
+    digest = hashlib.sha256()
+    errors = collections.Counter()
+    wrong = {True: 0, False: 0}  # keyed on: the root at 0 is exact
+    for coeffs, t in inputs:
+        roots = oracle.Roots.of_integer(coeffs)
+        f = vd.RationalFunction.from_polynomial(vd.Polynomial(coeffs))
+        for r in TINY_RADII:
+            got = call(lambda: vd.counting_N(f, 0, r), "counting_N", errors, digest)
+            want = roots.N(r)
+            wrong[t == 0] += got is not None and abs(got - want) > N_TOL * max(1.0, abs(want))
+    named = ", ".join(f"{key} {n}" for key, n in sorted(errors.items())) or "none"
+    return (
+        f"tiny a-points: inputs {len(inputs)}; errors {sum(errors.values())} ({named});"
+        f" wrong {wrong[True] + wrong[False]} (exact origin {wrong[True]}, moved origin {wrong[False]});"
+        f" sha256 {digest.hexdigest()}"
+    )
+
+
 def families():
     """Family name -> [(coefficients, [(root, multiplicity)] or None)]."""
     rng = random.Random(11)
@@ -134,19 +197,11 @@ def main(argv=None) -> int:
                 "localize_roots": lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), TOL),
                 "fta_witness": lambda: vd.fta_witness(p, TOL),
             }
-            out = {}
-            for call, run in calls.items():
-                try:
-                    out[call] = run()
-                except vd.ValdistError as exc:
-                    errors[f"{call} {type(exc).__name__}"] += 1
-                    digest.update(f"{type(exc).__name__}: {exc}".encode())
-                else:
-                    digest.update(repr(out[call]).encode())
-            if "localize_roots" in out:
+            out = {key: call(run, key, errors, digest) for key, run in calls.items()}
+            if out["localize_roots"] is not None:
                 encs = [(e.center, e.radius, e.multiplicity) for e in out["localize_roots"]]
                 wrong += oracle.enclosures_hold(roots, encs) is not None
-            if "fta_witness" in out:
+            if out["fta_witness"] is not None:
                 w = out["fta_witness"].witness
                 wrong += oracle.residual(coeffs, w) > TOL * max(abs(c) for c in coeffs)
                 with mpmath.workdps(oracle.DPS):
@@ -157,6 +212,7 @@ def main(argv=None) -> int:
             f"{name}: inputs {len(inputs)}; errors {sum(errors.values())} ({named}); wrong {wrong};"
             f" non-root witnesses {non_roots}; sha256 {digest.hexdigest()}"
         )
+    print(tiny_apoints_line(tiny_apoints(random.Random(17))))
     return 0
 
 

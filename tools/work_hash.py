@@ -7,14 +7,17 @@ verify_first_fundamental and verify_second_fundamental on a grid of
 ``--points`` radii, as perfbench/run.py does. Prints the sha256 of the
 results' reprs (an item that raises contributes its error's name and
 message), the failed items, the contour passes and nodes of the run, its
-quadrature calls and rows, and its exact evaluations. A pass is one call of
-``localize._ContourCounter._fresh``; its nodes are the contour points it
-evaluates, counted once however many polynomials are evaluated at them.
-A quadrature call is one call of ``nevanlinna.integrate_rows``; its rows
-are the radii it integrates. An exact evaluation is one call of
-``algebra.Polynomial.eval_exact``. The counts come from wrapping those
-three functions from outside, so the program is run unchanged. Two
-checkouts that do the same work print the same five lines.
+quadrature calls and rows, its exact evaluations and its descents. A pass
+is one call of ``localize._ContourCounter._fresh``; its nodes are the
+contour points it evaluates, counted once however many polynomials are
+evaluated at them. A quadrature call is one call of
+``nevanlinna.integrate_rows``; its rows are the radii it integrates. An
+exact evaluation is one call of ``algebra.Polynomial.eval_exact``. A
+descent is one call of ``localize.localize_roots``, so a root search
+answered without one, such as that of c z^k, shows in the count. The
+counts come from wrapping those four functions from outside, so the
+program is run unchanged. Two checkouts that do the same work print the
+same six lines.
 """
 
 import argparse
@@ -39,7 +42,7 @@ def main(argv=None) -> int:
     import valdist as vd
     from valdist import localize, nevanlinna
 
-    work = {"passes": 0, "nodes": 0, "calls": 0, "rows": 0, "exact": 0}
+    work = {"passes": 0, "nodes": 0, "calls": 0, "rows": 0, "exact": 0, "descents": 0}
     fresh = localize._ContourCounter._fresh
 
     def counted(self, regions, rules):
@@ -65,6 +68,13 @@ def main(argv=None) -> int:
         return eval_exact(self, *args, **kwargs)
 
     vd.Polynomial.eval_exact = counted_exact
+    localize_roots = localize.localize_roots
+
+    def counted_descent(*args, **kwargs):
+        work["descents"] += 1
+        return localize_roots(*args, **kwargs)
+
+    localize.localize_roots = counted_descent
 
     digest = hashlib.sha256()
     failed = []
@@ -90,6 +100,7 @@ def main(argv=None) -> int:
     print(f"passes {work['passes']} nodes {work['nodes']}")
     print(f"quadrature calls {work['calls']} rows {work['rows']}")
     print(f"exact calls {work['exact']}")
+    print(f"descents {work['descents']}")
     return 0
 
 
