@@ -246,10 +246,19 @@ def _log_plus(gn: Polynomial, gd: Polynomial, r, theta, tries: int = 0):
     ``r`` holds one radius per angle. A sample on a log pole (an a-point on
     a sample angle) is retried one step further off its original angle, at
     most four times; a value still not finite after that is returned as is.
+    A side that is exactly 1 (gd of a polynomial for a = inf, gn of a
+    polynomial for a finite a) is not evaluated: log|1| is 0.0, so
+    log|gn| - 0.0 is log|gn| and 0.0 - log|gd| is kept as a subtraction,
+    which gives the same bits as evaluating it, the sign of a zero included.
     """
     z = r * np.exp(1j * (theta + tries * 3e-13 if tries else theta))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.maximum(np.log(np.abs(gn.eval_many(z))) - np.log(np.abs(gd.eval_many(z))), 0.0)
+        if gd.coefficients == (1,):
+            v = np.log(np.abs(gn.eval_many(z)))
+        else:
+            log_gn = 0.0 if gn.coefficients == (1,) else np.log(np.abs(gn.eval_many(z)))
+            v = log_gn - np.log(np.abs(gd.eval_many(z)))
+        v = np.maximum(v, 0.0)
     bad = ~np.isfinite(v)
     if tries < 4 and np.any(bad):
         v[bad] = _log_plus(gn, gd, r[bad], theta[bad], tries + 1)

@@ -3,12 +3,14 @@
 The integrator works in "waves": every pending interval is split at once
 and all new nodes are evaluated in a single vectorized call. Rows (log+ |g|
 on each circle of an r-grid, say) share [a, b] but not their knots; each
-interval carries its row, and one call per wave evaluates every row. A
-row's intervals keep the order they would have alone, though not next to
-each other, and each subset that is summed is first stably sorted by row,
-so a row's sums are taken over its own elements in its lone order. A row's
-result is thus the same to the bit as when it is integrated alone, as long
-as the integrand's value at a point does not depend on the other points of
+interval carries its row, and one call per wave evaluates every row. The
+intervals are kept grouped by row, each row's block in the order a lone
+run of that row would hold it: seeded in ascending order, and after each
+split the left halves of the row's continuing intervals, then their right
+halves. Every interval of a wave is at the same depth. A row's sums are
+``np.add.reduce`` over the part of its block that is summed, so a row's
+result is the same to the bit as when it is integrated alone, as long as
+the integrand's value at a point does not depend on the other points of
 the call.
 """
 
@@ -30,14 +32,17 @@ MAX_WAVE = 2**18
 
 
 def _row_sums(row, values):
-    """(row, sum) for each row present in ``row``, its values summed in their order."""
+    """(rows, sums): each row of the grouped ``row``, its values summed in their order.
+
+    Each sum is ``np.add.reduce`` of the row's own run, as in a lone run
+    of the row; ``np.add.reduceat`` would sum each run sequentially, not
+    pairwise, and move bits.
+    """
     if not row.size:
-        return []
-    order = row.argsort(kind="stable")
-    row, values = row[order], values[order]
-    lo = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]
+        return row, values
+    lo = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1]))).tolist()
     hi = [*lo[1:], row.size]
-    return [(i, float(np.add.reduce(values[j:k]))) for i, j, k in zip(row[lo].tolist(), lo, hi)]
+    return row[lo], np.array([np.add.reduce(values[j:k]) for j, k in zip(lo, hi)])
 
 
 @np.errstate(invalid="ignore")  # inf - inf in the sums of a row that is not finite
@@ -53,11 +58,16 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     """
     if not b > a:
         raise ValueError("empty integration interval")
-    # seed each row with [a, b], its knots in range and 16 equal pieces
+    # seed each row with [a, b], its knots in range and 16 equal pieces; equal
+    # values of a row keep that order, as the sort by row and value is stable
+    n_rows = len(knots)
+    ids = np.arange(n_rows)
+    inner = [[float(k) for k in ks if a < k < b] for ks in knots]
     grid = np.linspace(a, b, 17)
-    seeds = [np.concatenate(([a, b], [float(k) for k in ks if a < k < b], grid)) for ks in knots]
-    pts = np.concatenate(seeds)
-    pts_row = np.repeat(np.arange(len(seeds)), [s.size for s in seeds])
+    pts = np.concatenate(
+        (np.tile(np.array([a, b], dtype=float), n_rows), [k for ks in inner for k in ks], np.tile(grid, n_rows))
+    )
+    pts_row = np.concatenate((np.repeat(ids, 2), np.repeat(ids, [len(ks) for ks in inner]), np.repeat(ids, 17)))
     order = np.lexsort((pts, pts_row))
     pts, pts_row = pts[order], pts_row[order]
     # drop repeats, and knots that collide within float resolution (locally,
@@ -79,65 +89,72 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     f_left = f_pts[starts]
     f_right = f_pts[1:][starts[:-1]]
     simpson = width / 6.0 * (f_left + 4.0 * f_mid + f_right)
-    depth = np.zeros(left.shape, dtype=int)
 
-    total = [0.0] * len(seeds)
-    leftover = [0.0] * len(seeds)
+    total = np.zeros(n_rows)
+    leftover = np.zeros(n_rows)
+    stopped = np.zeros(n_rows, dtype=bool)
+    ended = np.zeros(n_rows, dtype=bool)
     span = b - a
+    depth = 0
     while left.size:
         if left.size > MAX_WAVE:
             raise QuadratureNotConverged(f"{left.size} intervals open in one wave (cap {MAX_WAVE})")
-        quarters = np.concatenate([left + 0.25 * width, left + 0.75 * width])
-        f_q = fn(quarters, np.concatenate([row, row]))
-        f_lm, f_rm = f_q[: row.size], f_q[row.size :]
-        s_l = width / 12.0 * (f_left + 4.0 * f_lm + f_mid)
-        s_r = width / 12.0 * (f_mid + 4.0 * f_rm + f_right)
-        s2 = s_l + s_r
+        n = left.size
+        f_q = fn(np.concatenate([left + 0.25 * width, left + 0.75 * width]), np.concatenate([row, row]))
+        # the left halves' values, then the right halves', in one array each
+        f_left2 = np.concatenate([f_left, f_mid])
+        f_right2 = np.concatenate([f_mid, f_right])
+        width2 = np.concatenate([width, width])
+        s_half = width2 / 12.0 * (f_left2 + 4.0 * f_q + f_right2)
+        s2 = s_half[:n] + s_half[n:]
         err = np.abs(s2 - simpson) / 15.0
         share = abs_tol * width / span
         tiny = width < _WIDTH_FLOOR * np.maximum(np.abs(left), 1.0)
-        pend = ~((err <= share) | tiny)
-        stopped = np.zeros(len(seeds), dtype=bool)
-        for i, row_err in _row_sums(row[pend], err[pend]):
-            stopped[i] = row_err <= 0.5 * abs_tol
+        pend = np.flatnonzero(~((err <= share) | tiny))
         # remaining segments are jointly within budget even though none
         # meets its width-proportional share (mass concentrated in a few
         # short segments); stop refining those rows
-        pend &= ~stopped[row]
-        capped = pend & (depth >= MAX_DEPTH)
-        cont = pend & ~capped
-        done = ~cont
-        for i, gain in _row_sums(row[done], (s2 + (s2 - simpson) / 15.0)[done]):
-            total[i] += gain
-        for i, rest in _row_sums(row[capped], err[capped]):
-            leftover[i] += rest
-        ended = np.zeros(len(seeds), dtype=bool)
-        ended[row[~np.isfinite(err)]] = True  # a value that is not finite ends its row
-        for i in np.flatnonzero(ended).tolist():
-            total[i] = math.nan
-        cont &= ~ended[row]
-        if not cont.any():
+        rows, sums = _row_sums(row[pend], err[pend])
+        stopped[rows] = sums <= 0.5 * abs_tol
+        pend = pend[~stopped[row[pend]]]
+        if depth >= MAX_DEPTH:  # every pending interval is capped
+            rows, rests = _row_sums(row[pend], err[pend])
+            leftover[rows] += rests
+            pend = pend[:0]
+        done = np.ones(n, dtype=bool)
+        done[pend] = False
+        rows, gains = _row_sums(row[done], (s2 + (s2 - simpson) / 15.0)[done])
+        total[rows] += gains
+        cont = pend
+        finite = np.isfinite(err)
+        if not finite.all():  # a value that is not finite ends its row
+            ended[row[~finite]] = True
+            total[ended] = math.nan
+            cont = pend[~ended[row[pend]]]
+        if not cont.size:
             break
-        # halves go left then right; each row's elements stay in the order a
-        # lone row would hold them, though no longer next to each other
-        half = 0.5 * width[cont]
-        row = np.concatenate([row[cont], row[cont]])
-        left = np.concatenate([left[cont], left[cont] + half])
-        width = np.concatenate([half, half])
-        f_left = np.concatenate([f_left[cont], f_mid[cont]])
-        f_right = np.concatenate([f_mid[cont], f_right[cont]])
-        f_mid = np.concatenate([f_lm[cont], f_rm[cont]])
-        simpson = np.concatenate([s_l[cont], s_r[cont]])
-        depth = np.concatenate([depth[cont] + 1, depth[cont] + 1])
+        # each row's block: the left halves of its continuing intervals,
+        # then their right halves, as a lone row would hold them
+        r = np.concatenate([row[cont], row[cont]])
+        order = r.argsort(kind="stable")
+        child = np.concatenate([cont, cont + n])[order]
+        row = r[order]
+        left = np.concatenate([left, left + 0.5 * width])[child]
+        width = (0.5 * width2)[child]
+        f_left = f_left2[child]
+        f_right = f_right2[child]
+        f_mid = f_q[child]
+        simpson = s_half[child]
+        depth += 1
 
-    for t, rest in zip(total, leftover):
+    for t, rest in zip(total.tolist(), leftover.tolist()):
         if math.isnan(t):
             break
         if rest > abs_tol:
             raise QuadratureNotConverged(
                 f"estimate still moving by {rest:.3e} after {MAX_DEPTH} subdivisions"
             )
-    return total
+    return total.tolist()
 
 
 def adaptive_simpson(fn, a, b, *, abs_tol, knots=()):

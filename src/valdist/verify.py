@@ -85,12 +85,16 @@ class DeviationReport:
 
 
 def _check_grid(rgrid, two_decades: bool = False):
+    """A verifier's grid; with ``two_decades``, the degree fit's: two decades, two radii in its tail half."""
     rgrid = [float(r) for r in rgrid]
     if len(rgrid) < 2:
         raise ValueError("rgrid needs at least two points")
     rgrid = nevanlinna._check_grid(rgrid)
     if two_decades and rgrid[-1] / rgrid[0] < 99.99:
         raise ValueError("rgrid must span at least two decades")
+    # the fit reads the tail half, and a line needs two points
+    if two_decades and len(rgrid) - len(rgrid) // 2 < 2:
+        raise ValueError("rgrid needs at least two radii in its tail half")
     return rgrid
 
 

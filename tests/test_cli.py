@@ -293,6 +293,7 @@ INPUT_CHECKS = {
     "witness tol": ("fta-witness --poly {p} --tol -1", "tol must be positive"),
     "seed": ("profile --function {f} --a 0 --seed 0", "unrecognized arguments: --seed 0"),
     "span": ("verify degree --poly {p} --rmax 10", "rgrid must span at least two decades"),
+    "tail": ("verify degree --poly {p} --points 2", "rgrid needs at least two radii in its tail half"),
     # radii that round to one float
     "grid": ("verify remark --poly {p} --rmax 1.0000000000000002 --points 5", "rgrid must be strictly increasing"),
     "rmax": ("verify remark --poly {p} --rmax 1e400", "rmax must be finite"),

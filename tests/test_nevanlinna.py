@@ -519,6 +519,62 @@ def test_log_plus_of_a_merged_call_equals_its_parts(seed):
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
+def two_sided_log_plus(gn, gd, r, theta, tries=0):
+    """``_log_plus`` as it was before it skipped a unit side: both sides evaluated."""
+    z = r * np.exp(1j * (theta + tries * 3e-13 if tries else theta))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.maximum(np.log(np.abs(gn.eval_many(z))) - np.log(np.abs(gd.eval_many(z))), 0.0)
+    bad = ~np.isfinite(v)
+    if tries < 4 and np.any(bad):
+        v[bad] = two_sided_log_plus(gn, gd, r[bad], theta[bad], tries + 1)
+    return v
+
+
+@pytest.mark.parametrize("unit", ["gn", "gd"])
+def test_log_plus_skips_a_unit_side_with_the_same_bytes(monkeypatch, unit):
+    rng = make_rng(5)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 40)
+    r = 10.0 ** rng.uniform(0.0, 4.0, theta.size)
+    z0 = (r * np.exp(1j * theta))[7]
+    if unit == "gn":
+        # 1 / (z - z0) with z0 on the sample angle at 7: that sample is retried once
+        gn, gd, retries = Polynomial.one(), Polynomial([-z0, 1]), 1
+        assert gd.eval_many(r[7:8] * np.exp(1j * theta[7:8]))[0] == 0
+    else:
+        # p overflows at the radii of 1e200: those samples are retried four times
+        gn, gd, retries = Polynomial([1, -2j, 0.5, 3]), Polynomial.one(), 4
+        r[[3, 11, 12]] = 1e200
+    want = two_sided_log_plus(gn, gd, r, theta)
+    evaluated = []
+    eval_many = Polynomial.eval_many
+    monkeypatch.setattr(Polynomial, "eval_many", lambda p, z: evaluated.append(p) or eval_many(p, z))
+    got = nevanlinna._log_plus(gn, gd, r, theta)
+    assert got.tobytes() == want.tobytes()
+    assert Polynomial.one() not in evaluated and len(evaluated) == 1 + retries
+    assert np.isfinite(got).all() == (unit == "gn")
+
+
+# m(r, inf) of a quintic on the growth workload's grid, recorded before the
+# wave loop kept its bookkeeping in arrays and the unit side went unevaluated
+M_SERIES_HEX = [
+    "0x1.313252d132f96p+0", "0x1.963a21552a53dp+0", "0x1.3a5d396fd8711p+1", "0x1.d27bbb5cebaf0p+1",
+    "0x1.354d1ea4ff775p+2", "0x1.82a64a08f3485p+2", "0x1.e1b95b3d1f547p+2", "0x1.20663638a5b02p+3",
+    "0x1.4fefbed2bbb39p+3", "0x1.7f79476cd1b78p+3", "0x1.af02d006e7bc4p+3", "0x1.de8c58a0fdc13p+3",
+    "0x1.070af09d89d92p+4", "0x1.1ecfb4ea94e56p+4", "0x1.369479379fe7dp+4", "0x1.4e593d84aae98p+4",
+    "0x1.661e01d1b5ec7p+4", "0x1.7de2c61ec0ef0p+4", "0x1.95a78a6bcbf17p+4", "0x1.ad6c4eb8d6f41p+4",
+    "0x1.c5311305e1f69p+4", "0x1.dcf5d752ecf90p+4", "0x1.f4ba9b9ff7fb8p+4", "0x1.063faff6817eep+5",
+    "0x1.1222121d07003p+5", "0x1.1e0474438c816p+5", "0x1.29e6d66a12029p+5", "0x1.35c938909783dp+5",
+    "0x1.41ab9ab71d051p+5", "0x1.4d8dfcdda2865p+5", "0x1.59705f0428077p+5", "0x1.6552c12aad88bp+5",
+]
+
+
+def test_growth_series_keeps_its_recorded_bits():
+    algebra._MEMO.clear()  # integrate every row, not read it back
+    f = RationalFunction.from_polynomial(Polynomial([2, -3 + 1j, 0.5, 1j, -1, 0.25]))
+    series = nevanlinna._m_series(f, INFINITY, log_rgrid(1.0, 1e4, 32), None)
+    assert [m.hex() for m in series] == M_SERIES_HEX
+
+
 # -- characteristic ---------------------------------------------------------------------
 
 

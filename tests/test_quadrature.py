@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from valdist import QuadratureNotConverged
-from valdist.quadrature import MAX_DEPTH, adaptive_simpson, integrate_rows
+from valdist.quadrature import MAX_DEPTH, MAX_WAVE, adaptive_simpson, integrate_rows
 
 from conftest import make_rng
 
@@ -37,20 +37,43 @@ def lone(f, knots, tol=CAPPED_TOL):
     return adaptive_simpson(f, 0.0, 1.0, abs_tol=tol, knots=knots)
 
 
+# the ROWS totals, recorded before the wave loop kept its bookkeeping in
+# arrays: a rewrite that moved a bit in every row alike would still match
+# the lone runs, but not these
+ROWS_HEX = [
+    "-0x1.2aaaaaaaaaaaap+0",
+    "0x1.fffc4ae23d53ap-2",
+    "0x1.fffc4ae2c300ap-2",
+    "0x1.83e0b0298d732p+0",
+    "0x1.f555555222222p-1",
+]
+
+
 def test_rows_match_lone_rows_bit_for_bit():
     fns, knots = zip(*ROWS)
     totals = integrate_rows(rows_fn(fns), 0.0, 1.0, abs_tol=CAPPED_TOL, knots=list(knots))
-    assert [t.hex() for t in totals] == [lone(f, k).hex() for f, k in ROWS]
+    assert [t.hex() for t in totals] == [lone(f, k).hex() for f, k in ROWS] == ROWS_HEX
     # the capped row is still right to the width of its last interval
     assert abs(totals[-1] - (1.0 - STEP_AT)) <= 2.0**-4 * 2.0**-MAX_DEPTH
+
+
+def test_wave_cap_message():
+    # every interval of a rapidly oscillating integrand stays open until a
+    # wave passes the cap; the count, recorded before the wave loop kept its
+    # bookkeeping in arrays, is the intervals that wave holds
+    with pytest.raises(QuadratureNotConverged) as exc:
+        adaptive_simpson(lambda x: np.sin(1e12 * x), 0.0, 1.0, abs_tol=1e-9)
+    assert str(exc.value) == f"523938 intervals open in one wave (cap {MAX_WAVE})"
 
 
 def test_capped_row_reaches_max_depth():
     step, knots = ROWS[-1]
     # the step's last estimate lies between half the tolerance and the
     # tolerance, so halving the tolerance leaves it unresolved at the cap
-    with pytest.raises(QuadratureNotConverged, match=f"after {MAX_DEPTH} subdivisions"):
+    with pytest.raises(QuadratureNotConverged) as exc:
         lone(step, knots, CAPPED_TOL / 2.0)
+    # the leftover as recorded before the wave loop kept its bookkeeping in arrays
+    assert str(exc.value) == f"estimate still moving by 6.209e-11 after {MAX_DEPTH} subdivisions"
 
 
 def test_rows_that_differ_in_depth_take_one_call_per_wave():

@@ -172,6 +172,15 @@ def test_degree_growth_rejects_constant_and_short_grids():
         verify_degree_growth(Polynomial([0, 1]), log_rgrid(1.0, 50.0, 16))
 
 
+def test_degree_growth_rejects_a_grid_with_one_tail_radius():
+    # the fit reads rgrid[1:] of a two-radius grid: one point, no line
+    with pytest.raises(ValueError, match="two radii in its tail half"):
+        verify_degree_growth(Polynomial([1, 2, 3]), [1.0, 100.0])
+    # three radii leave two in the tail, and the slope is the degree
+    fit = verify_degree_growth(Polynomial([1, 2, 3]), [1.0, 100.0, 1e4])
+    assert round(fit.slope) == 2
+
+
 # -- second fundamental theorem ---------------------------------------------------------
 
 

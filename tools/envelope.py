@@ -16,17 +16,26 @@ process, and checks every answer against the benchmark's oracle
   inexact is left out, so the float coefficients are the exact ones and
   the given roots are exactly theirs. These are the inputs where a
   simple root's one-root bound must refuse and the contour decide;
+- near 1e4: the far cluster (z - 9990)(z - (9995 + 3i))(z - 10003)
+  (z - (10007 - 2i)) of a FOUND line, and five clusters of 3-4
+  Gaussian-integer roots within 8 of a Gaussian integer of modulus about
+  1e4, drawn by ``random.Random(19)`` (a draw whose coefficients are not
+  exact floats is drawn again, so the given roots are exactly theirs);
 - tiny a-points: z^k times 2-4 distinct nonzero integer roots from
   [-12, 12], two root sets per k = 1-4 drawn by ``random.Random(17)``,
   and the same polynomials with z^k moved to (z - t)^k for
   t = -1e-9, 1e-10, ..., 1e-16 (the sign alternates), their
   coefficients rounded to floats.
 
-Each input of the first four families gets the calls of the benchmark's
+Each input of the first five families gets the calls of the benchmark's
 ``roots`` workload, made separately: localize_roots on the Cauchy box at
-tol 1e-10, and fta_witness at tol 1e-10. Coefficients are exact
+tol 1e-10, and fta_witness at tol 1e-10. The near 1e4 inputs also get
+proximity_m(f, inf, r) at r = 1e4 and 5411.7, hashed and with their
+errors named (no oracle checks them); at r = 1e4 the far cluster meets
+the quadrature's cap on open intervals. Coefficients are exact
 integers, so the oracle has the exact roots (the clusters' coefficients
-are exact dyadic rationals, and their roots are given). Prints one line
+are exact dyadic rationals or Gaussian integers, and their roots are
+given). Prints one line
 per family: its inputs, the named errors by call and class, the wrong
 answers, the non-root witnesses and the sha256 of the outputs' reprs (an
 error contributes its name and message). A wrong answer fails one of the
@@ -59,6 +68,8 @@ NON_ROOT_REL = 1e-8
 # counting_N's radii and allowance, that of perfbench/run.py's N check
 TINY_RADII = (1.0, 10.0, 1e3)
 N_TOL = 1e-7
+# proximity_m's radii for the near 1e4 family: on and inside the cluster's circle
+NEAR_RADII = (1e4, 5411.7)
 
 
 def from_roots(roots) -> list:
@@ -108,6 +119,20 @@ def clusters(rng):
     for m in range(2, 7):
         for r in (1.0, -0.5 + 0.5j, 1.5j):
             add([(r, m)], [(-1.0 + 0.25j, 1)])
+    return out
+
+
+def near_1e4(rng):
+    """[(float coefficients, [(root, multiplicity)])]: the far cluster, then seeded Gaussian-integer clusters."""
+    far = [(9990, 1), (9995 + 3j, 1), (10003, 1), (10007 - 2j, 1)]
+    out = [(exact_from_roots(far), far)]
+    while len(out) < 6:
+        centre = complex(rng.randint(-10000, 10000), 0)
+        centre += 1j * rng.choice([-1, 1]) * round((1e8 - centre.real**2) ** 0.5)
+        roots = [centre + complex(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(rng.randint(3, 4))]
+        pairs = list(collections.Counter(roots).items())
+        if (coeffs := exact_from_roots(pairs)) is not None:
+            out.append((coeffs, pairs))
     return out
 
 
@@ -172,6 +197,7 @@ def families():
         "seeded": seeded,
         "found witness": [([1, 0, -(10**12), 1], None), ([2, 0, 10**12, 1], None), ([2, 0, 10**9, 1], None)],
         "clusters": clusters(random.Random(13)),
+        "near 1e4": near_1e4(random.Random(19)),
     }
 
 
@@ -197,6 +223,10 @@ def main(argv=None) -> int:
                 "localize_roots": lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), TOL),
                 "fta_witness": lambda: vd.fta_witness(p, TOL),
             }
+            if name == "near 1e4":
+                f = vd.RationalFunction.from_polynomial(p)
+                for r in NEAR_RADII:
+                    calls[f"proximity_m {r:g}"] = lambda r=r: vd.proximity_m(f, "inf", r)
             out = {key: call(run, key, errors, digest) for key, run in calls.items()}
             if out["localize_roots"] is not None:
                 encs = [(e.center, e.radius, e.multiplicity) for e in out["localize_roots"]]

@@ -14,17 +14,30 @@ evaluated at them. A quadrature call is one call of
 ``nevanlinna.integrate_rows``; its rows are the radii it integrates. An
 exact evaluation is one call of ``algebra.Polynomial.eval_exact``. A
 descent is one call of ``localize.localize_roots``, so a root search
-answered without one, such as that of c z^k, shows in the count. The
-counts come from wrapping those four functions from outside, so the
-program is run unchanged. Two checkouts that do the same work print the
-same six lines.
+answered without one, such as that of c z^k, shows in the count. Those
+are the first six lines. Two more give the run's integrand calls and
+nodes, and its ``eval_many`` nodes: an integrand call is one call of
+``nevanlinna._log_plus`` that is not a retry (``tries == 0``), its nodes
+are the angles it gets, and the ``eval_many`` nodes are the points of
+every call of ``algebra.Polynomial.eval_many``.
+
+Then it runs the first ``--items`` items of the ``growth`` stream for
+each seed: verify_degree_growth on the workload's 32-radius grid. Its
+lines, each starting with "growth", give the sha256 of the fits' reprs,
+the failed items, and the same quadrature, integrand and ``eval_many``
+counts for these items alone. The counts come from wrapping those
+functions from outside, so the program is run unchanged. Two checkouts
+that do the same work print the same lines.
 """
 
 import argparse
 import hashlib
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,7 +55,7 @@ def main(argv=None) -> int:
     import valdist as vd
     from valdist import localize, nevanlinna
 
-    work = {"passes": 0, "nodes": 0, "calls": 0, "rows": 0, "exact": 0, "descents": 0}
+    work = Counter()
     fresh = localize._ContourCounter._fresh
 
     def counted(self, regions, rules):
@@ -75,32 +88,70 @@ def main(argv=None) -> int:
         return localize_roots(*args, **kwargs)
 
     localize.localize_roots = counted_descent
+    log_plus = nevanlinna._log_plus
 
-    digest = hashlib.sha256()
-    failed = []
-    for seed in args.seeds:
-        for item in itertools.islice(corpus.distribution(seed), args.items):
-            f = vd.RationalFunction(vd.Polynomial(item.coeffs), vd.Polynomial(item.den))
-            grid = vd.log_rgrid(1.0, 1e4, args.points)
-            targets = list(item.targets)
-            try:
-                out = (
-                    vd.build_profile(f, targets, grid),
-                    vd.verify_first_fundamental(f, targets[-1], grid),
-                    vd.verify_second_fundamental(f, targets, grid),
-                )
-            except vd.ValdistError as exc:
-                out = f"{type(exc).__name__}: {exc}"
-                failed.append(f"seed {seed} item {item.index}: {out}")
-            digest.update(repr(out).encode())
-    print(f"sha256 {digest.hexdigest()}")
-    print(f"failed {len(failed)}")
-    for line in failed:
-        print(f"  {line}")
+    def counted_integrand(gn, gd, r, theta, tries=0):
+        if tries == 0:
+            work["integrand"] += 1
+            work["integrand_nodes"] += np.size(theta)
+        return log_plus(gn, gd, r, theta, tries)
+
+    nevanlinna._log_plus = counted_integrand
+    eval_many = vd.Polynomial.eval_many
+
+    def counted_eval_many(self, z):
+        work["eval_many_nodes"] += np.size(z)
+        return eval_many(self, z)
+
+    vd.Polynomial.eval_many = counted_eval_many
+
+    def run(items, calls):
+        """sha256 of the items' outputs and the failed items, from a fresh count of the work."""
+        work.clear()
+        digest = hashlib.sha256()
+        failed = []
+        for seed in args.seeds:
+            for item in itertools.islice(items(seed), args.items):
+                try:
+                    out = calls(item)
+                except vd.ValdistError as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                    failed.append(f"seed {seed} item {item.index}: {out}")
+                digest.update(repr(out).encode())
+        return digest.hexdigest(), failed
+
+    def distribution(item):
+        f = vd.RationalFunction(vd.Polynomial(item.coeffs), vd.Polynomial(item.den))
+        grid = vd.log_rgrid(1.0, 1e4, args.points)
+        targets = list(item.targets)
+        return (
+            vd.build_profile(f, targets, grid),
+            vd.verify_first_fundamental(f, targets[-1], grid),
+            vd.verify_second_fundamental(f, targets, grid),
+        )
+
+    def growth(item):
+        # the growth workload's grid: 32 radii, the CLI default
+        return vd.verify_degree_growth(vd.Polynomial(item.coeffs), vd.log_rgrid(1.0, 1e4, 32))
+
+    def print_run(prefix, sha, failed):
+        print(f"{prefix}sha256 {sha}")
+        print(f"{prefix}failed {len(failed)}")
+        for line in failed:
+            print(f"  {line}")
+
+    print_run("", *run(corpus.distribution, distribution))
     print(f"passes {work['passes']} nodes {work['nodes']}")
     print(f"quadrature calls {work['calls']} rows {work['rows']}")
     print(f"exact calls {work['exact']}")
     print(f"descents {work['descents']}")
+    print(f"integrand calls {work['integrand']} nodes {work['integrand_nodes']}")
+    print(f"eval_many nodes {work['eval_many_nodes']}")
+
+    print_run("growth ", *run(corpus.growth, growth))
+    print(f"growth quadrature calls {work['calls']} rows {work['rows']}")
+    print(f"growth integrand calls {work['integrand']} nodes {work['integrand_nodes']}")
+    print(f"growth eval_many nodes {work['eval_many_nodes']}")
     return 0
 
 
