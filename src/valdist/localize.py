@@ -844,6 +844,8 @@ def _witness_recurse(p: Polynomial, levels: list) -> complex:
     h = _witness_recurse(dp, levels)
     # the sharper the derivative root, the cleaner the linear kill
     h = _newton(dp, dp.derivative(), h)[0]
+    if not cmath.isfinite(h):  # a level's arithmetic overflowed
+        raise LocalizationFailed(f"the degree-{deg} level's derivative root {h} is not finite")
     q = p.shift(h)
     qc = q.coefficients
     scale = q.coefficient_scale

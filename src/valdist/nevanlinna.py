@@ -1,18 +1,23 @@
 """Counting, proximity, and characteristic functions over r-grids.
 
-The integrated counting function is a closed-form sum over the
-enumerated a-points; ``counting_N_integral``'s step integral over the
-same a-points checks the sum, not the enumeration. The proximity
-function is adaptive quadrature of log+ |g| on the circle, cross-checked
-by exact Jensen identities in the test-suite.
+The integrated counting function N(r, a) is a closed-form sum over the
+enumerated a-points. ``counting_N_integral`` reads no a-point: by
+Jensen's formula it is m(r, inf; g) - m(r, 0; g) - log|c_k|, c_k the
+lowest exactly nonzero coefficient of g = num - a den, so it checks the
+enumeration as well as the sum. It counts multiplicity, so its
+``reduced=True`` is the closed form, and a multiple a-point on |z| = r
+raises QuadratureNotConverged. The proximity function is adaptive
+quadrature of log+ |g| on the circle, cross-checked by exact Jensen
+identities in the test-suite.
 
 Every n(r, a), N(r, a) and pole term of T(r) is a filter by |z| of one
 a-point set per (f, target): ``_apoints`` localizes every root of
 g = num - a den once, so the set is a function of g's coefficients alone
 and no radius shapes the search. The a-points at the origin are read
-from g's exactly zero low coefficients, with no search, and enter N only
-by their count n(0, a); the other roots are localized in a box around
-the Cauchy disk of g with z^n(0, a) divided out.
+from g's exactly zero low coefficients, with no search; an a-point is at
+the origin exactly when its centre is 0, and enters N only by the count
+n(0, a). The other roots are localized in a box around the Cauchy disk
+of g with z^n(0, a) divided out.
 
 Each m(r, a), and with it T(r), is computed once per (g, radius,
 tolerance): a bounded memo in the algebra layer (256 entries, oldest out
@@ -38,11 +43,12 @@ from .algebra import (
     _coefficient_bytes,
     _memo_rows,
     _roots_hint,
+    _zero_order,
     as_target,
 )
 from .errors import BoundaryCoincidence, ConstantFunction, FunctionIdenticallyA, QuadratureNotConverged
 from .localize import _all_roots, _merge_pairs
-from .quadrature import adaptive_simpson, integrate_rows
+from .quadrature import integrate_rows
 
 # relative half-width of the guard band around the counting circle
 BOUNDARY_GUARD_REL = 1e-12
@@ -84,7 +90,9 @@ class _APoint:
     z: complex
     modulus: float
     multiplicity: int
-    guard: float  # classification slack inherited from the enclosure radius
+    # half-width of the a-point's guard band, from its enclosure radius; it
+    # decides the guard band only: an a-point is at the origin when z is 0
+    guard: float
 
 
 def _apoints(f: RationalFunction, a):
@@ -108,7 +116,9 @@ def _apoints(f: RationalFunction, a):
 
     def join(p1, p2):
         (z1, m1, g1), (z2, m2, g2) = p1, p2
-        return (z1 * m1 + z2 * m2) / (m1 + m2), m1 + m2, max(g1, g2, abs(z1 - z2))
+        # a cluster that takes in the origin read's exact 0 stays there
+        z = 0j if z1 == 0 or z2 == 0 else (z1 * m1 + z2 * m2) / (m1 + m2)
+        return z, m1 + m2, max(g1, g2, abs(z1 - z2))
 
     pts = _merge_pairs([(e.center, e.multiplicity, e.radius) for e in encs], close, join)
     pts.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -125,23 +135,12 @@ def _count_at(pts, r: float, reduced: bool) -> int:
     return len(inside) if reduced else sum(p.multiplicity for p in inside)
 
 
-def _at_origin(p: _APoint) -> bool:
-    return p.modulus <= p.guard
-
-
-def _origin_weight(pts, reduced: bool) -> int:
-    for p in pts:
-        if _at_origin(p):
-            return 1 if reduced else p.multiplicity
-    return 0
-
-
 def _N_at(pts, r: float, reduced: bool) -> float:
     total = 0.0
     n0 = 0
     for p in pts:
         w = 1 if reduced else p.multiplicity
-        if _at_origin(p):
+        if p.z == 0:
             n0 += w
         elif p.modulus < r:
             total += w * math.log(r / p.modulus)
@@ -196,29 +195,23 @@ def counting_N_integral(
     cfg: QuadratureConfig | None = None,
     reduced: bool = False,
 ) -> float:
-    """Check of ``counting_N``'s sum, not of its a-points: (n(t) - n(0))/t integrated over (0, r]."""
+    """N(r, a) by Jensen's formula, from g = num - a den and no a-point.
+
+    N(r, a) = m(r, inf; g) - m(r, 0; g) - log|c_k|, c_k the lowest exactly
+    nonzero coefficient of g: the first two terms are the mean of log|g|
+    on |z| = r, each a quadrature to ``cfg.abs_tol``. A multiple a-point
+    on the circle leaves that mean's integrand not finite there, and it
+    raises QuadratureNotConverged. Jensen's formula counts multiplicity,
+    so ``reduced=True`` has no such form and returns ``counting_N``'s
+    closed-form sum.
+    """
     _check_radius(r)
-    pts = _apoints(f, a)
-    cfg = cfg or DEFAULT_QUADRATURE
-    n0 = _origin_weight(pts, reduced)
-    steps = sorted((p.modulus, 1 if reduced else p.multiplicity) for p in pts if not _at_origin(p))
-    moduli = np.array([mdl for mdl, _ in steps], dtype=float)
-    weights = np.array([w for _, w in steps], dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
-
-    def step_over_t(t):
-        t = np.asarray(t, dtype=float)
-        counts = cum[np.searchsorted(moduli, t, side="left")]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(t > 0.0, counts / t, 0.0)
-
-    knots = []
-    for mdl in moduli:
-        if mdl < r:
-            off = max(1e-13 * mdl, 256.0 * np.finfo(float).eps * r)
-            knots.extend([mdl - off, mdl + off])
-    integral = adaptive_simpson(step_over_t, 0.0, r, abs_tol=cfg.abs_tol, knots=knots)
-    return integral + n0 * math.log(r)
+    if reduced:
+        return counting_N(f, a, r, reduced=True)
+    g = _target_poly(f.reduce(), as_target(a))
+    G = RationalFunction.from_polynomial(g)
+    m_inf, m_0 = (_m_series(G, t, [r], cfg)[0] for t in (INFINITY, as_target(0)))
+    return m_inf - m_0 - math.log(abs(g.coefficients[_zero_order(g)]))
 
 
 def _singularity_knots(r: float, roots):

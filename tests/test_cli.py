@@ -201,6 +201,15 @@ def test_fta_witness_constant_is_usage_error(tmp_path):
     assert cp.returncode == 2
 
 
+def test_fta_witness_overflow_is_a_computation_failure(tmp_path):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps([[1e-300, 0], [0, 0], [1e300, 0], [1, 0]]))
+    cp = run_cli("fta-witness", "--poly", str(poly))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("computation failed: the degree-3 level's derivative root")
+    assert "Traceback" not in cp.stderr
+
+
 def test_verify_json_deterministic(square_file, tmp_path):
     blobs = []
     for name in ("a.json", "b.json"):

@@ -1083,6 +1083,13 @@ def test_witness_rejects_nan_residual(monkeypatch):
         fta_witness(Polynomial([1, -3, 0, 1]))
 
 
+def test_witness_names_an_overflowing_level():
+    # the quadratic level squares its coefficient 2e300 to inf, so the
+    # derivative root is nan; the level says so before it shifts by it
+    with pytest.raises(LocalizationFailed, match=r"^the degree-3 level's derivative root .* is not finite$"):
+        fta_witness(Polynomial([1e-300, 0, 1e300, 1]))
+
+
 def test_witness_random_corpus():
     rng = make_rng(31)
     for _ in range(20):

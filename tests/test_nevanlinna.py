@@ -5,6 +5,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,6 +333,67 @@ def test_counting_routes_scipy_cross_check():
     assert abs(val - counting_N(f, 0.25, r)) <= 1e-9
 
 
+def test_counting_N_integral_raises_on_a_multiple_apoint_on_the_circle():
+    # the double zero at 1 leaves log|g| not finite on a sample angle of |z| = 1
+    f = RationalFunction.from_polynomial(Polynomial.from_roots([1, 1, -3]))
+    with pytest.raises(QuadratureNotConverged, match="integrand not finite on the circle"):
+        counting_N_integral(f, 0, 1.0)
+
+
+def test_counting_N_integral_reduced_is_the_closed_form():
+    f = as_rf(*Polynomial.from_roots([1, 1, -2, 0.5j]).coefficients)
+    for r in (0.3, 1.5, 3.0):
+        assert counting_N_integral(f, 0, r, reduced=True) == counting_N(f, 0, r, reduced=True)
+
+
+def test_exact_origin_cluster_stays_at_the_origin():
+    # 0 and 1e-9 are one point at the coalescing resolution; the joined
+    # point keeps the origin read's exact 0, so the closed form counts it
+    # as n(0) = 2, while Jensen's formula sees the two roots apart
+    f = as_rf(*Polynomial.from_roots([0, 1e-9]).coefficients)
+    (point,) = nevanlinna._apoints(f, 0)
+    assert (point.z, point.multiplicity) == (0j, 2)
+    assert counting_N(f, 0, 10.0) == 2 * math.log(10.0)
+    want = math.log(10.0) + math.log(10.0 / 1e-9)
+    assert counting_N_integral(f, 0, 10.0) == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
+def _exact_from_roots(roots) -> list:
+    """Exact coefficients, ascending, of the monic polynomial with these rational roots."""
+    coeffs = [1]
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+# four-fold clusters whose rounded coefficients split the root, and whose
+# one enclosure, wide against its modulus, stands for the split roots in
+# the closed form (ROADMAP item 3)
+_SPLIT_CLUSTERS = {((3, -7), 4, 1e-16), ((2, 5), 4, -1e-13)}
+
+
+def _tiny_apoint_cases():
+    for roots in ((3, -7), (2, 5)):
+        for k in range(1, 5):
+            for t in (0, Fraction(1, 10**10), Fraction(-1, 10**13), Fraction(1, 10**16)):
+                for fn in (counting_N, counting_N_integral):
+                    wrong = fn is counting_N and (roots, k, float(t)) in _SPLIT_CLUSTERS
+                    marks = [pytest.mark.xfail(strict=True, reason="split four-fold cluster")] if wrong else []
+                    yield pytest.param(fn, roots, k, t, marks=marks, id=f"{fn.__name__}-{roots}-{k}-{float(t):g}")
+
+
+@pytest.mark.parametrize("fn, roots, k, t", _tiny_apoint_cases())
+def test_tiny_apoints_match_the_oracle(fn, roots, k, t):
+    # z^k (t = 0, an exact origin) or (z - t)^k beside two integer roots,
+    # the coefficients rounded to floats; the allowance is the benchmark's
+    coeffs = [float(c) for c in _exact_from_roots([t] * k + list(roots))]
+    f = as_rf(*coeffs)
+    moduli = _oracle_moduli(coeffs)
+    for r in (1.0, 10.0, 1e3):
+        want = sum(math.log(r / m) if m else math.log(r) for m in moduli if m < r)
+        assert abs(fn(f, 0, r) - want) <= 1e-7 * max(1.0, abs(want)), r
+
+
 def _record_enumerations(monkeypatch):
     """The target of each enumeration in call order, recorded wherever a consumer looks ``_apoints`` up."""
     calls = []
@@ -396,12 +458,16 @@ def test_cluster_past_the_grid_top_is_one_enumeration(monkeypatch, call, want):
 
 
 def _oracle_moduli(coeffs):
-    """|z| of every root of the integer polynomial, from mpmath at 60 digits."""
+    """|z| of every root, the float coefficients taken as exact, from mpmath at 60 digits.
+
+    Exactly zero low coefficients are roots at 0, with no search.
+    """
     import mpmath
 
+    k = next(i for i, c in enumerate(coeffs) if c != 0)
     with mpmath.workdps(60):
-        roots = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=120)
-        return sorted(float(abs(z)) for z in roots)
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs[k:])], maxsteps=800, extraprec=400)
+        return [0.0] * k + sorted(float(abs(z)) for z in roots)
 
 
 def test_counts_just_inside_each_root_modulus_match_the_oracle():

@@ -39,8 +39,10 @@ rationals with a pole on a box corner and just inside a box edge,
 a winding count and localize_roots on regions built from ints,
 localize_roots on root clusters whose joined enclosure is wider or
 narrower than tol and at an infinite tol, the Jensen constant and the
-first-theorem check of a function with a tiny nonzero constant term,
-and two CLI runs: a computation failure (exit 1) and a polynomial file
+first-theorem check of a function with a tiny nonzero constant term, N
+of that function at r = 1e3 by both routes, counting_N_integral with a
+double a-point on its circle, fta_witness on a cubic whose quadratic
+level overflows, and two CLI runs: a computation failure (exit 1) and a polynomial file
 with a constant denominator. A change
 meant to keep results passes when `cmp` finds the dumps of the parent
 and the change equal.
@@ -508,6 +510,10 @@ def library():
     show("roots tol inf", lambda: vd.localize_roots(P.from_roots([0.3, 0.35, -0.5j]), UNIT_BOX, math.inf))
     show("jensen_constant tiny constant", lambda: vd.jensen_constant(TINY_CONSTANT, 0))
     show("fft tiny constant", lambda: vd.verify_first_fundamental(TINY_CONSTANT, 0, vd.log_rgrid(1.0, 1e3, 16)))
+    for fn in (vd.counting_N, vd.counting_N_integral):
+        show(f"{fn.__name__} tiny constant 1e3", lambda: fn(TINY_CONSTANT, 0, 1e3))
+    show("counting_N_integral double a-point 1.0", lambda: vd.counting_N_integral(DOUBLE_ON_GRID, 0, 1.0))
+    show("witness overflowing quadratic level", lambda: vd.fta_witness(P([1e-300, 0, 1e300, 1])))
 
 
 def command_line():

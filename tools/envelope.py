@@ -29,7 +29,10 @@ process, and checks every answer against the benchmark's oracle
 
 Each input of the first five families gets the calls of the benchmark's
 ``roots`` workload, made separately: localize_roots on the Cauchy box at
-tol 1e-10, and fta_witness at tol 1e-10. The near 1e4 inputs also get
+tol 1e-10, and fta_witness at tol 1e-10. On the near 1e4 inputs
+localize_roots takes the tol 1e-10 max(1, F) instead, F Fujiwara's bound
+on the roots' moduli, since an absolute 1e-10 is below the 256 eps |root|
+that a tol must exceed there. The near 1e4 inputs also get
 proximity_m(f, inf, r) at r = 1e4 and 5411.7, hashed and with their
 errors named (no oracle checks them); at r = 1e4 the far cluster meets
 the quadrature's cap on open intervals. Coefficients are exact
@@ -45,13 +48,13 @@ coefficient. A witness is a non-root when its nearest oracle root is
 simple and more than 1e-8 max(1, |root|) away, a test that does not
 scale with the coefficients.
 
-Each tiny a-points input gets counting_N of its zeros at r = 1, 10 and
-1e3, checked as the ``distribution`` workload checks N: a wrong answer
-is one more than 1e-7 max(1, |N|) from the oracle's N, which takes the
-float coefficients as the exact values they hold. Its line splits the
-wrong answers between the inputs with an exact root at 0 and those with
-the root moved off it. No timing: two checkouts that give the same
-answers print the same lines.
+Each tiny a-points input gets counting_N and counting_N_integral of its
+zeros at r = 1, 10 and 1e3, checked as the ``distribution`` workload
+checks N: a wrong answer is one more than 1e-7 max(1, |N|) from the
+oracle's N, which takes the float coefficients as the exact values they
+hold. Its line gives each function's wrong answers, split between the
+inputs with an exact root at 0 and those with the root moved off it. No
+timing: two checkouts that give the same answers print the same lines.
 """
 
 import argparse
@@ -168,19 +171,25 @@ def tiny_apoints_line(inputs) -> str:
 
     digest = hashlib.sha256()
     errors = collections.Counter()
-    wrong = {True: 0, False: 0}  # keyed on: the root at 0 is exact
+    fns = (vd.counting_N, vd.counting_N_integral)
+    wrong = collections.Counter()  # keyed on the function and on: the root at 0 is exact
     for coeffs, t in inputs:
         roots = oracle.Roots.of_integer(coeffs)
         f = vd.RationalFunction.from_polynomial(vd.Polynomial(coeffs))
         for r in TINY_RADII:
-            got = call(lambda: vd.counting_N(f, 0, r), "counting_N", errors, digest)
             want = roots.N(r)
-            wrong[t == 0] += got is not None and abs(got - want) > N_TOL * max(1.0, abs(want))
+            for fn in fns:
+                got = call(lambda: fn(f, 0, r), fn.__name__, errors, digest)
+                wrong[fn.__name__, t == 0] += got is not None and abs(got - want) > N_TOL * max(1.0, abs(want))
     named = ", ".join(f"{key} {n}" for key, n in sorted(errors.items())) or "none"
+    counts = "; ".join(
+        f"{fn.__name__} wrong {wrong[fn.__name__, True] + wrong[fn.__name__, False]}"
+        f" (exact origin {wrong[fn.__name__, True]}, moved origin {wrong[fn.__name__, False]})"
+        for fn in fns
+    )
     return (
         f"tiny a-points: inputs {len(inputs)}; errors {sum(errors.values())} ({named});"
-        f" wrong {wrong[True] + wrong[False]} (exact origin {wrong[True]}, moved origin {wrong[False]});"
-        f" sha256 {digest.hexdigest()}"
+        f" {counts}; sha256 {digest.hexdigest()}"
     )
 
 
@@ -219,8 +228,9 @@ def main(argv=None) -> int:
             roots = oracle.Roots.given(pairs) if pairs else oracle.Roots.of_integer(coeffs)
             p = vd.Polynomial(coeffs)
             radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+            tol = TOL * max(1.0, vd.localize._fujiwara_bound(p)) if name == "near 1e4" else TOL
             calls = {
-                "localize_roots": lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), TOL),
+                "localize_roots": lambda: vd.localize_roots(p, vd.Box(0j, radius, radius), tol),
                 "fta_witness": lambda: vd.fta_witness(p, TOL),
             }
             if name == "near 1e4":
