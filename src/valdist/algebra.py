@@ -22,10 +22,10 @@ from .errors import (
     LinearCoefficientNonzero,
 )
 
-# Root-coincidence tolerance for numerator/denominator cancellation,
-# relative to max(1, |root|): a root's position does not change when the
-# coefficients are scaled, so neither does what cancels
-GCD_TOL_REL = 1e-8
+# two points closer than this, relative to max(1, |z|), are one point: a
+# numerator and a denominator root cancel, two a-points coalesce. Scaling
+# the coefficients moves no root, so it changes no such decision
+SAME_POINT_REL = 1e-8
 # relative threshold below which a coefficient counts as vanished
 SHAPE_TOL_REL = 1e-9
 
@@ -35,6 +35,14 @@ def _as_complex(value) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite complex value {z!r}")
     return z
+
+
+def _positive_finite(x: float, name: str) -> None:
+    """Raise ``ValueError`` naming x unless it is a positive, finite real (nan is not positive)."""
+    if not x > 0:
+        raise ValueError(f"{name} must be positive")
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
 
 
 def _dyadic(x: float):
@@ -305,7 +313,7 @@ class Polynomial:
         return self.__mul__(other)
 
 
-# Functional facade matching the operation names used elsewhere in the package.
+# Public functional aliases of the Polynomial methods; no package code calls them.
 
 def poly_eval(p: Polynomial, z: complex) -> complex:
     """Evaluate p at z by nested multiplication."""
@@ -516,7 +524,7 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
     and carries ``reduced=True``. Coincidence is decided on root clusters:
     each numerator root is greedily matched to the nearest unused
     denominator root and the pair is cancelled when their distance is
-    below GCD_TOL_REL times max(1, |numerator root|). A root at 0 is an
+    below SAME_POINT_REL times max(1, |numerator root|). A root at 0 is an
     exact zero low coefficient: the common powers of z cancel exactly,
     and only the other roots are matched, so a zero coefficient that
     remains stays exactly zero.
@@ -548,7 +556,7 @@ def reduce_common_roots(f: RationalFunction) -> RationalFunction:
             d = abs(zn - zd)
             if d < best_d:
                 best, best_d = i, d
-        if best is not None and best_d < GCD_TOL_REL * max(1.0, abs(zn)):
+        if best is not None and best_d < SAME_POINT_REL * max(1.0, abs(zn)):
             used[best] = True
             cancelled.append(0.5 * (zn + droots[best]))
     for r in cancelled:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, parse_complex_literal
+from .algebra import Polynomial, RationalFunction, _positive_finite, parse_complex_literal
 from .errors import (
     ConstantFunction,
     ConstantPolynomial,
@@ -189,10 +188,7 @@ def _pair(z: complex) -> list:
 
 def _cmd_fta_witness(args) -> int:
     p = _load_polynomial(args.poly)
-    if not args.tol > 0:
-        raise _UsageError("tol must be positive")
-    if not math.isfinite(args.tol):
-        raise _UsageError("tol must be finite")
+    _checked(_positive_finite, args.tol, "tol")
     trace = fta_witness(p, args.tol)
     levels = []
     for lv in trace.claim1_checks:

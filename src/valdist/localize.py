@@ -1,47 +1,46 @@
 """Argument-principle root counting, certified enclosures, and the
 shift-and-localize root-witness pipeline.
 
-Counting integrates p'/p (minus q'/q for poles) around region boundaries
-with the trapezoid rule, doubling resolution until the value snaps to the
-same integer at two consecutive resolutions. The 2n-node rule contains the
-n-node rule, so each doubling evaluates only the n new nodes and adds
-their weighted sum to half the running value. No value snaps on its
-first rule, so the first two rules share one evaluation. The four
-children of a split share each doubling pass, one evaluation per
-polynomial for all of their new nodes; the inner edges they share are
-still evaluated once per side. Disks and boxes share one rule: a pass
-puts origin + scale * the unit nodes of a cached template on each edge
-(a disk's one, a box's four), and a region's value is the sum over its
-edges of scale times the unit weights times f'/f. Node moduli are
+Counting integrates p'/p of one polynomial p around region boundaries (a
+rational function's count is its numerator's less its denominator's)
+with the trapezoid rule, doubling resolution until the value snaps to
+the same integer at two consecutive resolutions. The 2n-node rule
+contains the n-node rule, so each doubling evaluates only the n new
+nodes and adds their weighted sum to half the running value. No value
+snaps on its first rule, so the first two rules share one evaluation.
+The four children of a split share each doubling pass, one evaluation of
+p and one of p' for all of their new nodes; the inner edges they share
+are still evaluated once per side. Disks and boxes share one rule: a
+pass puts origin + scale * the unit nodes of a cached template on each
+edge (a disk's one, a box's four), and a region's value is the sum over
+its edges of scale times the unit weights times p'/p. Node moduli are
 bounded by the regions' geometry; |z| is computed only when a value may
 be below the roundoff bound, where a node may be unreliable and is
-re-evaluated exactly. Localization counts every
-region through one box, the region itself or the box around a disk, and
-a disk's roots are the certified enclosures whose centres lie inside its
-circle: no contour runs on the circle. A box that holds p's Cauchy disk
-holds all deg p roots by Cauchy's bound, so its count is the degree, a
-theorem and not a contour. The descent is a quadtree on boxes: a box
-whose subdivision line would pass through a root is re-split at the
-next point of a fixed off-centre split ladder, so children always tile
-their parent exactly, counts stay conserved, and the same input always
-gives the same enclosures. Once a box is small, a
-Newton endgame polishes the root and certifies a tiny disk around it. A
-simple root's disk needs no contour: it lies inside its box, whose count
-is 1, and the one-root bound deg p |p(z)| / |p'(z)|, from exact values
-rounded outward, is below its radius, so it holds the box's one root. A
-cluster's disk, or one the bound refuses, is certified by an independent
-winding count.
-Uncertified companion-matrix root hints only order the split points and
-stop the start box; winding counts and the one-root bound stay the
-certificates. Every search for all the roots of a polynomial, the
-a-point enumeration's and the witness pipeline's, is one ``_all_roots``
-call, at the caller's constant times max(1, Fujiwara's bound). Its k
-exactly zero low coefficients put a root of multiplicity k at the
-origin, a theorem and not a count, so that root's enclosure runs no
-contour; the descent runs on the rest of the polynomial alone, from
-twice its Cauchy box. Of the recentred polynomial's enclosures, the
-witness takes the one nearest minus the shift, which minimizes the
-witness modulus.
+re-evaluated exactly. Localization counts every region through one box,
+the region itself or the box around a disk, and a disk's roots are the
+certified enclosures whose centres lie inside its circle: no contour
+runs on the circle. A box that holds p's Cauchy disk holds all deg p
+roots by Cauchy's bound, so its count is the degree, a theorem and not a
+contour. The descent is a quadtree on boxes: a box whose subdivision
+line would pass through a root is re-split at the next point of a fixed
+off-centre split ladder, so children always tile their parent exactly,
+counts stay conserved, and the same input always gives the same
+enclosures. Once a box is small, a Newton endgame polishes the root and
+certifies a tiny disk around it. A simple root's disk needs no contour:
+it lies inside its box, whose count is 1, and the one-root bound deg p
+|p(z)| / |p'(z)|, from exact values rounded outward, is below its
+radius, so it holds the box's one root. A cluster's disk, or one the
+bound refuses, is certified by an independent winding count. Uncertified
+companion-matrix root hints only order the split points and stop the
+start box; winding counts and the one-root bound stay the certificates.
+Every search for all the roots of a polynomial, the a-point
+enumeration's and the witness pipeline's, is one ``_all_roots`` call, at
+the caller's constant times max(1, Fujiwara's bound). Its k exactly zero
+low coefficients put a root of multiplicity k at the origin, a theorem
+and not a count, so that root's enclosure runs no contour; the descent
+runs on the rest of the polynomial alone, from twice its Cauchy box. Of
+the recentred polynomial's enclosures, the witness takes the one nearest
+minus the shift, which minimizes the witness modulus.
 
 One boundary rule: ``RootOnBoundary`` at the first ladder through a root
 on a contour no split placed (the caller's box, the box around a disk, a
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, _roots_hint, _zero_order, claim1_shape_check
+from .algebra import Polynomial, RationalFunction, _positive_finite, _roots_hint, _zero_order, claim1_shape_check
 from .errors import (
     BinomialShape,
     ConstantPolynomial,
@@ -98,8 +97,8 @@ WITNESS_TOL_REL = 1e-6
 _EPS = float(np.finfo(float).eps)
 # covers the rounding of an exact value's parts below the normal range
 _TINY = math.ldexp(1.0, -1073)
-# radius of the enclosure of an exact root at the origin: the endgame's
-# disk floor 1e-13 (1 + |z|) at z = 0
+# the endgame's disk floor is ORIGIN_RADIUS (1 + |z|); at z = 0 it is the
+# radius of the enclosure of an exact root at the origin
 ORIGIN_RADIUS = 1e-13
 
 
@@ -109,8 +108,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not cmath.isfinite(self.center):
+            raise ValueError("disk center must be finite")
+        _positive_finite(self.radius, "disk radius")
 
     @property
     def size(self) -> float:
@@ -129,8 +129,10 @@ class Box:
     half_im: float
 
     def __post_init__(self):
-        if not (self.half_re > 0 and self.half_im > 0):
-            raise ValueError("box half-widths must be positive")
+        if not cmath.isfinite(self.center):
+            raise ValueError("box center must be finite")
+        _positive_finite(self.half_re, "box half-widths")
+        _positive_finite(self.half_im, "box half-widths")
 
     @classmethod
     def from_corners(cls, x_lo, x_hi, y_lo, y_hi) -> "Box":
@@ -281,50 +283,43 @@ def _eval_repaired(poly: Polynomial, nodes: _Nodes):
 
 
 class _ContourCounter:
-    """Winding numbers of a fixed zero/pole pair over many regions.
+    """Winding numbers of one polynomial p over many regions: its zeros inside each.
 
-    Derivatives are computed once; every contour evaluation is a pair of
-    vectorized Horner passes per polynomial.
+    p' is computed once; every contour evaluation is a vectorized Horner
+    pass for p and one for p'.
     """
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        self.num = num
-        self.dnum = num.derivative()
-        self.den = den if den is not None and den.degree > 0 else None
-        self.dden = self.den.derivative() if self.den is not None else None
+    def __init__(self, p: Polynomial):
+        self.p = p
+        self.dp = p.derivative()
 
     def _fresh(self, regions, rules) -> list:
         """Doubling steps for regions of one kind, one per rule size in ``rules``.
 
-        Per rule and region: the rule's weighted sum of f'/f over the nodes
+        Per rule and region: the rule's weighted sum of p'/p over the nodes
         it adds to the rule of half its size (all of them at the start),
         and the nearest-root estimate min |p/p'| over those nodes; (0j, 0.0)
-        where f'/f is not finite. The nodes of every rule and region are
+        where p'/p is not finite. The nodes of every rule and region are
         one broadcast of a cached template and go through one evaluation
-        per polynomial; each rule's sums are taken over its own slice, and
-        each region's over its own row.
+        of p and one of p'; each rule's sums are taken over its own slice,
+        and each region's over its own row.
         """
         unit, weights, slices = _template(isinstance(regions[0], Disk), rules)
         nodes = _Nodes(regions, unit)
         out = []
         # a row that is not finite is dropped below; its sums may be nan
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            nv, nv_abs = _eval_repaired(self.num, nodes)
-            dnv, dnv_abs = _eval_repaired(self.dnum, nodes)
-            g = dnv / nv
-            dist = nv_abs / dnv_abs
-            if self.den is not None:
-                dv, dv_abs = _eval_repaired(self.den, nodes)
-                ddv, ddv_abs = _eval_repaired(self.dden, nodes)
-                g = g - ddv / dv
-                dist = np.minimum(dist, dv_abs / ddv_abs)
+            v, v_abs = _eval_repaired(self.p, nodes)
+            dv, dv_abs = _eval_repaired(self.dp, nodes)
+            g = dv / v
+            dist = v_abs / dv_abs
             for s in slices:
                 gi = g[..., s]
                 values = (nodes.scale * (gi * weights[s]).sum(axis=2)).sum(axis=1)
                 # nan marks nodes where the derivative vanished; fmin skips
                 # it, and a row of nan reads inf
                 d = np.fmin.reduce(dist[..., s], axis=(1, 2), initial=math.inf)
-                # a non-finite f'/f makes its row's value non-finite, so rows
+                # a non-finite p'/p makes its row's value non-finite, so rows
                 # are tested node by node only where a value is
                 if not all(map(cmath.isfinite, values.tolist())):
                     dropped = ~np.isfinite(gi).all(axis=(1, 2))
@@ -401,11 +396,16 @@ class _Ladder:
 
 
 def winding_count(f, region: Region) -> int:
-    """Number of zeros minus poles of f inside the region, with multiplicity."""
+    """Number of zeros minus poles of f inside the region, with multiplicity.
+
+    The difference of two certified counts on their own passes, the reduced
+    numerator's and its non-constant denominator's; f = 0 raises ``ContourTooClose``.
+    """
     if isinstance(f, Polynomial):
         f = RationalFunction.from_polynomial(f)
     f = f.reduce()
-    return _ContourCounter(f.numerator, f.denominator).certified(region)
+    zeros = _ContourCounter(f.numerator).certified(region)
+    return zeros - (_ContourCounter(f.denominator).certified(region) if f.denominator.degree > 0 else 0)
 
 
 def _newton(p: Polynomial, dp: Polynomial, z: complex, multiplicity: int = 1, iters: int = 60):
@@ -497,9 +497,9 @@ def _endgame(counter, box, count, tol):
     gate = 0.05 if count == 1 else 1e-3
     if box.diameter > gate * (1.0 + abs(box.center)):
         return None
-    p, dp = counter.num, counter.dnum
+    p, dp = counter.p, counter.dp
     z, _, step = _newton(p, dp, box.center, multiplicity=count)
-    rho_min = 1e-13 * (1.0 + abs(z))
+    rho_min = ORIGIN_RADIUS * (1.0 + abs(z))
     if step > 8.0 * rho_min:
         # float Newton stagnated at the roundoff halo of a multiple root
         z, step = _newton_exact(p, dp, z, count)
@@ -575,7 +575,7 @@ def _shrink_start(counter, box, count, hints):
         if _hint_near(hints, candidate, candidate.corners[:2], candidate.corners[2:]):
             break  # its contour would run the whole doubling ladder and fail
         try:
-            if not _holds_cauchy_disk(candidate, counter.num) and counter.certified(candidate) != count:
+            if not _holds_cauchy_disk(candidate, counter.p) and counter.certified(candidate) != count:
                 break
         except (ContourTooClose, QuadratureNotConverged):
             break
@@ -726,10 +726,7 @@ def localize_roots(p: Polynomial, region: Region, tol: float):
     """
     if p.degree == 0:
         raise ConstantPolynomial("cannot localize roots of a constant polynomial")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+    _positive_finite(tol, "tol")
     counter = _ContourCounter(p)
     box0 = region if isinstance(region, Box) else Box(region.center, region.radius, region.radius)
     # every root lies in the Cauchy disk, and so inside a box that holds it
@@ -886,10 +883,7 @@ def fta_witness(p: Polynomial, tol: float = 1e-10) -> WitnessTrace:
     """
     if p.degree == 0:
         raise ConstantPolynomial("constant polynomials have no roots")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+    _positive_finite(tol, "tol")
     levels: list[WitnessLevel] = []
     w = _witness_recurse(p, levels)
     w = _newton(p, p.derivative(), w)[0]

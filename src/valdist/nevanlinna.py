@@ -39,9 +39,11 @@ from .algebra import (
     INFINITY,
     Polynomial,
     RationalFunction,
+    SAME_POINT_REL,
     TargetValue,
     _coefficient_bytes,
     _memo_rows,
+    _positive_finite,
     _roots_hint,
     _zero_order,
     as_target,
@@ -56,9 +58,6 @@ BOUNDARY_GUARD_REL = 1e-12
 # of quadrature knots around their angle
 SINGULARITY_BAND_REL = 1e-6
 NUDGE_FACTOR = 1.0 + 1e-9
-# a-points closer than this (relative) are one geometric point for the
-# reduced counts; matches the cancellation tolerance of the algebra layer
-COALESCE_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not math.isfinite(self.abs_tol):
-            raise ValueError("abs_tol must be finite")
+        _positive_finite(self.abs_tol, "abs_tol")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -112,7 +108,7 @@ def _apoints(f: RationalFunction, a):
 
     # coalesce clusters that are one geometric point at desk resolution
     def close(p1, p2):
-        return abs(p1[0] - p2[0]) <= COALESCE_REL * max(1.0, abs(p1[0]))
+        return abs(p1[0] - p2[0]) <= SAME_POINT_REL * max(1.0, abs(p1[0]))
 
     def join(p1, p2):
         (z1, m1, g1), (z2, m2, g2) = p1, p2
@@ -147,14 +143,6 @@ def _N_at(pts, r: float, reduced: bool) -> float:
     return total + n0 * math.log(r)
 
 
-def _check_radius(r: float) -> None:
-    """A radius of N, m or T: positive and finite (``count_n`` also takes inf)."""
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if not math.isfinite(r):
-        raise ValueError("r must be finite")
-
-
 def enumerate_a_points(f: RationalFunction, a, radius: float):
     """Certified a-points of f with |z| < radius, as (point, multiplicity).
 
@@ -184,7 +172,7 @@ def counting_N(f: RationalFunction, a, r: float, reduced: bool = False) -> float
     The t-integral of the step count integrates exactly to
     sum_j w_j log(r/|z_j|) over 0 < |z_j| < r plus n(0) log r.
     """
-    _check_radius(r)
+    _positive_finite(r, "r")
     return _N_at(_apoints(f, a), r, reduced)
 
 
@@ -205,7 +193,7 @@ def counting_N_integral(
     so ``reduced=True`` has no such form and returns ``counting_N``'s
     closed-form sum.
     """
-    _check_radius(r)
+    _positive_finite(r, "r")
     if reduced:
         return counting_N(f, a, r, reduced=True)
     g = _target_poly(f.reduce(), as_target(a))
@@ -273,7 +261,7 @@ def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
     r_row = np.asarray(radii, dtype=float)
     abs_tol = float(cfg.abs_tol)
     head = ("m", _coefficient_bytes(gn), _coefficient_bytes(gd), abs_tol.hex())
-    # every radius here passed _check_radius or _check_grid: a positive,
+    # every radius here passed _positive_finite or _check_grid: a positive,
     # finite float, for which == is bit equality, so it keys as it is
     keys = [(*head, r) for r in r_row.tolist()]
 
@@ -298,7 +286,7 @@ def _m_series(f: RationalFunction, a: TargetValue, radii, cfg) -> list:
 def proximity_m(f: RationalFunction, a, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Mean of log+ |g| on the circle |z| = r, g = f (a = inf) or 1/(f - a)."""
     a = as_target(a)
-    _check_radius(r)
+    _positive_finite(r, "r")
     return _m_series(f, a, [r], cfg)[0]
 
 
@@ -309,7 +297,7 @@ def _t_series(f: RationalFunction, radii, cfg, pts_inf) -> list:
 
 def characteristic_T(f: RationalFunction, r: float, cfg: QuadratureConfig | None = None) -> float:
     """Growth gauge: proximity to infinity plus integrated pole count."""
-    _check_radius(r)
+    _positive_finite(r, "r")
     f = f.reduce()
     if f.is_constant:
         raise ConstantFunction("the characteristic needs a non-constant function")

@@ -58,16 +58,14 @@ def integrate_rows(fn, a, b, *, abs_tol, knots):
     """
     if not b > a:
         raise ValueError("empty integration interval")
-    # seed each row with [a, b], its knots in range and 16 equal pieces; equal
-    # values of a row keep that order, as the sort by row and value is stable
+    # seed each row with its knots in range and 16 equal pieces of [a, b],
+    # whose ends the grid holds; equal values of a row keep that order, as
+    # the sort by row and value is stable
     n_rows = len(knots)
     ids = np.arange(n_rows)
     inner = [[float(k) for k in ks if a < k < b] for ks in knots]
-    grid = np.linspace(a, b, 17)
-    pts = np.concatenate(
-        (np.tile(np.array([a, b], dtype=float), n_rows), [k for ks in inner for k in ks], np.tile(grid, n_rows))
-    )
-    pts_row = np.concatenate((np.repeat(ids, 2), np.repeat(ids, [len(ks) for ks in inner]), np.repeat(ids, 17)))
+    pts = np.concatenate(([k for ks in inner for k in ks], np.tile(np.linspace(a, b, 17), n_rows)))
+    pts_row = np.concatenate((np.repeat(ids, [len(ks) for ks in inner]), np.repeat(ids, 17)))
     order = np.lexsort((pts, pts_row))
     pts, pts_row = pts[order], pts_row[order]
     # drop repeats, and knots that collide within float resolution (locally,

@@ -80,6 +80,71 @@ def test_integer_regions_count_as_their_float_twins(ints, floats):
     assert repr(localize_roots(p, ints, 1e-10)) == repr(localize_roots(p, floats, 1e-10))
 
 
+def _contour_distance(z, region):
+    """Distance from z to the region's boundary."""
+    if isinstance(region, Disk):
+        return abs(abs(z - region.center) - region.radius)
+    dx = abs(z.real - region.center.real) - region.half_re
+    dy = abs(z.imag - region.center.imag) - region.half_im
+    return min(-dx, -dy) if dx <= 0 and dy <= 0 else math.hypot(max(dx, 0.0), max(dy, 0.0))
+
+
+def _rational_cases():
+    """(zeros, poles, region): seeded draws with every point at least 0.05 from
+    the contour and from each other, then three fixed cases."""
+    rng = make_rng(71)
+    for trial in range(24):
+        centre = complex(*rng.uniform(-1, 1, 2))
+        if trial % 2:
+            region = Box(centre, rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
+        else:
+            region = Disk(centre, rng.uniform(0.3, 1.5))
+        points = []
+        while len(points) < 7:
+            z = region.center + region.size * complex(*rng.uniform(-1.6, 1.6, 2))
+            if _contour_distance(z, region) >= 0.05 and all(abs(z - w) >= 0.05 for w in points):
+                points.append(z)
+        # every third numerator is a constant
+        n_zeros = 0 if trial % 3 == 0 else int(rng.integers(1, 5))
+        yield points[:n_zeros], points[4 : 4 + int(rng.integers(1, 4))], region
+    yield [0.3 + 0.2j], [-0.4 - 0.1j], Disk(0j, 1.0)  # a zero and a pole inside
+    yield [3.0], [0.5j, -0.5], Box(0j, 1.0, 1.0)  # only poles inside
+    yield [], [0.25 - 0.5j, 2.0], Box(0.1j, 0.8, 0.7)  # a constant numerator
+
+
+def test_rational_winding_counts_zeros_minus_poles():
+    lead = 0.7 - 1.3j
+    for zeros, poles, region in _rational_cases():
+        num = Polynomial.from_roots(zeros, leading=lead) if zeros else Polynomial([lead])
+        f = RationalFunction(num, Polynomial.from_roots(poles))
+        expected = sum(map(region.contains, zeros)) - sum(map(region.contains, poles))
+        assert winding_count(f, region) == expected, (zeros, poles, region)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Box(complex("nan"), 1.0, 1.0), "box center must be finite"),
+        (lambda: Box(0j, math.inf, 1.0), "box half-widths must be finite"),
+        (lambda: Disk(complex("inf"), 1.0), "disk center must be finite"),
+        (lambda: Disk(0j, math.inf), "disk radius must be finite"),
+        (lambda: Box(0j, 1.0, 0.0), "box half-widths must be positive"),
+        (lambda: Disk(0j, math.nan), "disk radius must be positive"),
+    ],
+    ids=[
+        "box nan centre",
+        "box infinite half-width",
+        "disk infinite centre",
+        "disk infinite radius",
+        "box zero half-width",
+        "disk nan radius",
+    ],
+)
+def test_regions_reject_invalid_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # -- nested trapezoid doubling --------------------------------------------------
 
 
@@ -97,7 +162,7 @@ def test_doubling_evaluates_each_node_once(monkeypatch, shape, rel):
     eval_many = Polynomial.eval_many
 
     def counting(self, z):
-        if self is counter.num:
+        if self is counter.p:
             sizes.append(np.size(z))
         return eval_many(self, z)
 
@@ -114,8 +179,8 @@ def test_doubling_evaluates_each_node_once(monkeypatch, shape, rel):
     assert sum(sizes) == (n if shape == "disk" else n + 4)
 
 
-def _direct_trapezoid(f, region, n):
-    """The whole n-node rule for the winding integral of f'/f: (value, sum of |terms|)."""
+def _direct_trapezoid(p, region, n):
+    """The whole n-node rule for the winding integral of p'/p: (value, sum of |terms|)."""
     if isinstance(region, Disk):
         e = np.exp(2j * np.pi * np.arange(n) / n)
         z, w = region.center + region.radius * e, (region.radius / n) * e
@@ -128,9 +193,7 @@ def _direct_trapezoid(f, region, n):
         unit = np.where((t == 0) | (t == 1), 0.5, 1.0) / m
         z = np.concatenate([a + (b - a) * t for a, b in edges])
         w = np.concatenate([(b - a) / (2j * np.pi) * unit for a, b in edges])
-    num, den = f.numerator, f.denominator
-    g = num.derivative().eval_many(z) / num.eval_many(z)
-    g -= den.derivative().eval_many(z) / den.eval_many(z)
+    g = p.derivative().eval_many(z) / p.eval_many(z)
     return complex(np.sum(w * g)), float(np.sum(np.abs(w * g)))
 
 
@@ -148,15 +211,17 @@ def test_running_sum_matches_direct_rule():
     # with imaginary parts that cancel exactly
     real = RationalFunction(Polynomial([-2.0, 0.5, 1.0, 3.0]), Polynomial([4.0, -1.0, 1.0]))
     cases += [(real, Box(0j, 2.0, 2.0)), (real, Box(0.5 + 0j, 1.0, 3.0))]
+    # the numerator's counter and the denominator's, each on its own
     for trial, (f, region) in enumerate(cases):
-        counter = _ContourCounter(f.numerator, f.denominator)
-        value, n = 0j, WINDING_START_NODES
-        while n <= 2**14:
-            (((fresh, _),),) = counter._fresh([region], (n,))
-            value = 0.5 * value + fresh
-            direct, scale = _direct_trapezoid(f, region, n)
-            assert abs(value - direct) <= 1e-12 * scale, (trial, n)
-            n *= 2
+        for p in (f.numerator, f.denominator):
+            counter = _ContourCounter(p)
+            value, n = 0j, WINDING_START_NODES
+            while n <= 2**14:
+                (((fresh, _),),) = counter._fresh([region], (n,))
+                value = 0.5 * value + fresh
+                direct, scale = _direct_trapezoid(p, region, n)
+                assert abs(value - direct) <= 1e-12 * scale, (trial, p, n)
+                n *= 2
 
 
 def _hex(v: complex):
@@ -182,12 +247,12 @@ def test_paired_rules_match_one_rule_evaluations(kind):
     rng = make_rng(53)
     for trial in range(12):
         f = random_rational(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
-        counter = _ContourCounter(f.numerator, f.denominator)
         regions = _random_regions(rng, kind, 1 + trial % 4)
         n = WINDING_START_NODES
-        first, second = counter._fresh(regions, (n, 2 * n))
-        assert _bits(first) == _bits(counter._fresh(regions, (n,))[0])
-        assert _bits(second) == _bits(counter._fresh(regions, (2 * n,))[0])
+        for counter in (_ContourCounter(f.numerator), _ContourCounter(f.denominator)):
+            first, second = counter._fresh(regions, (n, 2 * n))
+            assert _bits(first) == _bits(counter._fresh(regions, (n,))[0])
+            assert _bits(second) == _bits(counter._fresh(regions, (2 * n,))[0])
 
 
 @pytest.mark.parametrize("rules", [(WINDING_START_NODES, 2 * WINDING_START_NODES), (1024,)])
@@ -219,7 +284,7 @@ def test_exact_path_far_from_the_origin_matches_one_region_runs(monkeypatch):
     eval_exact = Polynomial.eval_exact
 
     def recording(self, z):
-        calls.append((self is counter.num, z))
+        calls.append((self is counter.p, z))
         return eval_exact(self, z)
 
     monkeypatch.setattr(Polynomial, "eval_exact", recording)
@@ -227,9 +292,9 @@ def test_exact_path_far_from_the_origin_matches_one_region_runs(monkeypatch):
     # the nodes evaluated exactly are those that the per-node test flags
     z = _Nodes(children, _template(False, rules)[0]).z.ravel()
     flagged = []
-    for poly in (counter.num, counter.dnum):
+    for poly in (counter.p, counter.dp):
         bad = np.abs(poly.eval_many(z)) <= _RELIABLE_FACTOR * poly.bound_many(np.abs(z))
-        flagged += [(poly is counter.num, zi) for zi in z[bad].tolist()]
+        flagged += [(poly is counter.p, zi) for zi in z[bad].tolist()]
     assert 0 < len(calls) < z.size
     assert sorted(calls, key=repr) == sorted(flagged, key=repr)
     for i, child in enumerate(children):
@@ -260,14 +325,16 @@ def test_root_on_a_start_node_raises_at_the_first_rule(monkeypatch, region, root
 
 
 def _random_splits(seed, count):
-    """(counter, box, children) for seeded random rationals and random split points."""
+    """(counter, box, children) for random split points, twice per seeded random
+    rational: with the numerator's counter, then with the denominator's."""
     rng = make_rng(seed)
     for _ in range(count):
         f = random_rational(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
         box = Box(complex(*rng.uniform(-1, 1, 2)), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         sx = box.center.real + rng.uniform(-0.9, 0.9) * box.half_re
         sy = box.center.imag + rng.uniform(-0.9, 0.9) * box.half_im
-        yield _ContourCounter(f.numerator, f.denominator), box, box.split_at(sx, sy)
+        for p in (f.numerator, f.denominator):
+            yield _ContourCounter(p), box, box.split_at(sx, sy)
 
 
 def _record_ladders(monkeypatch):
@@ -343,7 +410,7 @@ def test_shared_edge_through_a_root_runs_the_long_ladder_once(monkeypatch):
     eval_many = Polynomial.eval_many
 
     def counting(self, z):
-        if self is counter.num:
+        if self is counter.p:
             sizes.append(np.size(z))
         return eval_many(self, z)
 

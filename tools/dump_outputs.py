@@ -9,7 +9,8 @@ a-points that hug grid circles, a series whose last radius fails, the
 growth workload's 32-point grid), root cancellation (also of a zero and a
 pole 5e-3 apart under three constant factors, with their counts),
 winding counts on contours that
-pass close to a root, localize_roots and fta_witness, the latter two also
+pass close to a root and of rationals with a zero and a pole inside one
+box or a zero inside and a pole outside, localize_roots and fta_witness, the latter two also
 on integer polynomials of the benchmark's roots workload, fta_witness on
 two inputs whose recentred levels have roots on a split line, on six
 with a root within about 1 of the Cauchy bound, on Wilkinson's
@@ -38,7 +39,8 @@ of a split batch with two failing children, winding counts of
 rationals with a pole on a box corner and just inside a box edge,
 a winding count and localize_roots on regions built from ints,
 localize_roots on root clusters whose joined enclosure is wider or
-narrower than tol and at an infinite tol, the Jensen constant and the
+narrower than tol, at an infinite tol and on four regions with a
+non-finite centre or size, the Jensen constant and the
 first-theorem check of a function with a tiny nonzero constant term, N
 of that function at r = 1e3 by both routes, counting_N_integral with a
 double a-point on its circle, fta_witness on a cubic whose quadratic
@@ -106,6 +108,23 @@ CONTOURS["disk zero/pole"] = (
 )
 CONTOURS["disk root on a node"] = (P.from_roots([1.0, 0.1]), UNIT_DISK)
 CONTOURS["box root on an edge"] = (P.from_roots([1 + 0.3j, 0.1]), UNIT_BOX)
+# a rational's count is its numerator's less its denominator's: a zero and a
+# pole in one box, and a zero inside beside a pole outside
+CONTOURS["box zero and pole inside"] = (
+    vd.RationalFunction(P.from_roots([0.3 + 0.2j, 1.7]), P.from_roots([-0.4 + 0.1j])),
+    UNIT_BOX,
+)
+CONTOURS["box zero inside pole outside"] = (
+    vd.RationalFunction(P.from_roots([0.3 + 0.2j]), P.from_roots([1.6 - 0.4j])),
+    UNIT_BOX,
+)
+# regions with a non-finite centre or size, built inside the call
+NON_FINITE_REGIONS = {
+    "box nan centre": lambda: vd.Box(complex("nan"), 1.0, 1.0),
+    "box infinite half-width": lambda: vd.Box(0j, math.inf, 1.0),
+    "disk infinite centre": lambda: vd.Disk(complex("inf"), 1.0),
+    "disk infinite radius": lambda: vd.Disk(0j, math.inf),
+}
 # localize_roots on regions with roots on their boundary: one on an edge of
 # the unit box, one on the unit circle between nodes and one on a node,
 # and the pair 1 +- 0.3i on the box's edge x = 1, whose box count takes
@@ -508,6 +527,8 @@ def library():
     for zs, tol in CLUSTER_JOINS:
         show(f"roots cluster {zs} tol {tol}", lambda: vd.localize_roots(P.from_roots(zs), UNIT_BOX, tol))
     show("roots tol inf", lambda: vd.localize_roots(P.from_roots([0.3, 0.35, -0.5j]), UNIT_BOX, math.inf))
+    for name, region in NON_FINITE_REGIONS.items():
+        show(f"roots non-finite {name}", lambda: vd.localize_roots(P.from_roots([0.5, -0.25j]), region(), 1e-6))
     show("jensen_constant tiny constant", lambda: vd.jensen_constant(TINY_CONSTANT, 0))
     show("fft tiny constant", lambda: vd.verify_first_fundamental(TINY_CONSTANT, 0, vd.log_rgrid(1.0, 1e3, 16)))
     for fn in (vd.counting_N, vd.counting_N_integral):
